@@ -37,10 +37,11 @@ race:
 # at a checkpoint boundary (internal/job), the manager shut down mid-job
 # and recovered, and a served job whose daemon is killed and restarted
 # (cmd/served) — each of which must leave a record log byte-identical to
-# an uninterrupted run.
+# an uninterrupted run. internal/space adds the BAO neighbourhood sampler
+# against its linear-scan oracle: same verdicts, offsets and RNG position.
 determinism:
 	$(GO) test -race -run 'WorkerCountInvariance|Parallel|Concurrent|Seeded|NoiseSeed|Cancel|Deadline|ForContext|Golden|Session|Invariance|SequentialMatches|Checkpoint|Snapshot' \
-		./internal/tuner ./internal/active ./internal/linalg ./internal/hwsim ./internal/par ./internal/backend ./internal/sched ./internal/core ./internal/xgb ./internal/gp ./internal/sa ./internal/snap ./internal/rng ./internal/job ./cmd/tune ./cmd/served
+		./internal/tuner ./internal/active ./internal/linalg ./internal/hwsim ./internal/par ./internal/backend ./internal/sched ./internal/core ./internal/xgb ./internal/gp ./internal/sa ./internal/snap ./internal/rng ./internal/space ./internal/job ./cmd/tune ./cmd/served
 
 # Benchmark smoke pass: every committed benchmark must still compile and
 # run (one iteration; not a timing source).

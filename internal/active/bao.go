@@ -100,10 +100,13 @@ func BootstrapSelectParallel(tr EvalTrainer, samples []Sample, cands []space.Con
 	// the argmax serially. Tree-based evaluators predict leaf-constant
 	// values, so exact score ties among candidates are common; scanning in
 	// a random order breaks ties uniformly instead of systematically
-	// sweeping one corner of the searching space.
+	// sweeping one corner of the searching space. Candidate features are
+	// written to index-addressed rows of one flat buffer.
+	fd := cands[0].Space().FeatureDim()
+	feats := make([]float64, len(cands)*fd)
 	scores := make([]float64, len(cands))
 	par.For(len(cands), workers, func(i int) {
-		feat := cands[i].Features()
+		feat := cands[i].AppendFeatures(feats[i*fd : i*fd : (i+1)*fd])
 		score := 0.0
 		for _, ev := range evals {
 			score += ev.Predict(feat)

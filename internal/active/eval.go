@@ -34,11 +34,18 @@ func NewXGBTrainer() XGBTrainer {
 	return XGBTrainer{Params: p}
 }
 
-// Train implements EvalTrainer.
+// Train implements EvalTrainer. The returned evaluator is the compiled
+// ensemble, whose predictions are bit-identical to the trained model's.
+// It uses plain Compile, not the arena-backed CompilePooled: an Evaluator
+// has no release point.
 func (t XGBTrainer) Train(X [][]float64, y []float64, seed int64) (Evaluator, error) {
 	p := t.Params
 	p.Seed = seed
-	return xgb.Train(X, y, p)
+	m, err := xgb.Train(X, y, p)
+	if err != nil {
+		return nil, err
+	}
+	return m.Compile(), nil
 }
 
 // MeanEvaluator averages a set of evaluators; summation and averaging give

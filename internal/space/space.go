@@ -152,11 +152,16 @@ func (s *Space) RandomSample(n int, rng *rand.Rand) []Config {
 // Features returns the log-scaled knob-value feature vector used by the
 // learned cost model.
 func (c Config) Features() []float64 {
-	out := make([]float64, 0, c.space.featureDim)
+	return c.AppendFeatures(make([]float64, 0, c.space.featureDim))
+}
+
+// AppendFeatures appends the config's feature vector (see Features) to dst
+// and returns the extended slice.
+func (c Config) AppendFeatures(dst []float64) []float64 {
 	for i, k := range c.space.knobs {
-		out = k.Feature(out, c.Index[i])
+		dst = k.Feature(dst, c.Index[i])
 	}
-	return out
+	return dst
 }
 
 // IndexVec returns the option-index vector as float64s. TED distances and
