@@ -10,6 +10,10 @@ build:
 test:
 	$(GO) test ./...
 
+# The race, determinism, bench-smoke, bench-check, cover and fmt-check
+# targets are the single source of their package lists and gates: CI
+# calls them through make.
+
 # Race-detector pass over the concurrent measurement machinery
 # (hwsim.Simulator, transfer.History, the tuner worker pool, par,
 # the backend wrappers, the graph scheduler, parallel bootstrap training
@@ -25,11 +29,11 @@ race:
 # Workers {1,4,8} x task-concurrency {1,2,4} grid (sched tests plus the
 # pipeline-level golden and invariance checks in internal/core). The
 # kernel-level invariance tests ride the same regex: TED/mat-vec/Cholesky
-# (linalg, active), xgb split search + PredictBatch, and the GP kernel
-# build must be bit-identical for any worker count, and the SIMD lane
-# kernels must match the portable reference bit for bit. Parallel SA
-# chains join through internal/sa (plain and delta objectives, Workers
-# 1/4/8) and the tuner-level SAChains sample-stream invariance test.
+# (linalg, active), xgb split search and the GP kernel build must be
+# bit-identical for any worker count, and the SIMD lane kernels must
+# match the portable reference bit for bit. Parallel SA chains join
+# through internal/sa (forked objectives, Workers 1/4/8) and the
+# tuner-level SAChains sample-stream invariance test.
 # Checkpoint|Snapshot pulls in the serializable-session layer: snapshot →
 # restore → continue must be bit-identical for every tuner, for the
 # scheduler across its Workers x task-concurrency grid, and for the
@@ -120,7 +124,7 @@ cover:
 	done
 
 # In-repo static-analysis suite (internal/analysis): determinism,
-# float-safety, lock hygiene, unchecked errors, library panics, plus the
+# float-safety, unchecked errors, library panics, plus the
 # dataflow-backed contract analyzers (maprange, walltime, parfold,
 # seedflow, errcmp) and stale-directive detection (deadignore). Gated on
 # the committed baseline: only findings not recorded there fail the run.
@@ -137,6 +141,7 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# Everything CI runs, in one command.
+# Formatting, vet, build, tests and lint in one command (CI's verify and
+# lint jobs).
 verify: fmt-check build test lint
 	$(GO) vet ./...

@@ -207,8 +207,9 @@ func run(ctx context.Context, model string, taskIdx int, workloadSpec, deviceNam
 		fmt.Printf("%-10s %12.1f %12.1f %12.1f\n", name, acc[budget-1], acc[budget/4-1], acc[budget/2-1])
 		series = append(series, plot.Series{Name: name, Values: acc})
 	}
+	st := cache.Stats()
 	fmt.Printf("\nbackend cache: %d simulator calls, %d deduplicated revisits\n",
-		cache.Misses(), cache.Hits())
+		st.Misses, st.Hits)
 	if chart {
 		fmt.Println()
 		if err := (plot.LineChart{

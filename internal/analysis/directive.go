@@ -43,10 +43,10 @@ type suppressions struct {
 // line directly below it, so both end-of-line and standalone-comment
 // placement work:
 //
-//	x := a.Clone() //lint:ignore mutexcopy deliberate snapshot
+//	if a == b { //lint:ignore floateq exact sentinel compare
 //
-//	//lint:ignore mutexcopy deliberate snapshot
-//	x := a.Clone()
+//	//lint:ignore floateq exact sentinel compare
+//	if a == b {
 func (s *suppressions) suppresses(d Diagnostic) bool {
 	if d.Analyzer == directiveAnalyzer || d.Analyzer == deadIgnoreName {
 		return false

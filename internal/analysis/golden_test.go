@@ -22,7 +22,6 @@ var fixturePkgs = []struct {
 }{
 	{name: "globalrand"},
 	{name: "floateq"},
-	{name: "mutexcopy"},
 	{name: "uncheckederr"},
 	{name: "panicpath"},
 	{name: "ctxarg"},

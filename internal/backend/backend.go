@@ -2,9 +2,9 @@
 // as a composable interface layer. A Backend is what a tuner deploys
 // configurations to: the base implementation adapts *hwsim.Simulator under
 // a registry of named devices, and wrappers layer orthogonal behaviour on
-// top — deterministic memoization (Cache), raw-call accounting (Counting),
-// failure injection (Flaky), and record-log replay (Replay) — without the
-// tuners knowing which stack they talk to.
+// top — deterministic memoization (Shared), raw-call accounting (Counting)
+// and failure injection (Flaky) — without the tuners knowing which stack
+// they talk to.
 package backend
 
 import (
@@ -27,7 +27,7 @@ import (
 // measurement order serial (the noise stream is shared).
 type Backend interface {
 	// Name identifies the backend stack, e.g. "gtx1080ti" or
-	// "cache(gtx1080ti)".
+	// "flaky(gtx1080ti)".
 	Name() string
 	// Seeded reports whether MeasureSeeded is order-independent and
 	// concurrency-safe.

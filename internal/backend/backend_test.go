@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/hwsim"
-	"repro/internal/record"
 	"repro/internal/space"
 	"repro/internal/tensor"
 )
@@ -71,6 +70,9 @@ func TestCacheServesIdenticalRepeats(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache := NewCache(b)
+	if cache.Name() != b.Name() {
+		t.Fatalf("memo renamed the backend: %q, want %q", cache.Name(), b.Name())
+	}
 	c := sp.FromFlat(17)
 
 	first := cache.MeasureSeeded(w, c, 99)
@@ -78,14 +80,14 @@ func TestCacheServesIdenticalRepeats(t *testing.T) {
 	if !sameMeasurement(first, again) {
 		t.Fatal("cached repeat differs from first measurement")
 	}
-	if cache.Misses() != 1 || cache.Hits() != 1 || cache.Len() != 1 {
-		t.Fatalf("misses=%d hits=%d len=%d after one repeat", cache.Misses(), cache.Hits(), cache.Len())
+	if st := cache.Stats(); st.Misses != 1 || st.Hits != 1 || st.Entries != 1 {
+		t.Fatalf("misses=%d hits=%d entries=%d after one repeat", st.Misses, st.Hits, st.Entries)
 	}
 
 	// A different noise seed is a different measurement, not a hit.
 	other := cache.MeasureSeeded(w, c, 100)
-	if cache.Misses() != 2 {
-		t.Fatalf("distinct seed must miss: misses=%d", cache.Misses())
+	if st := cache.Stats(); st.Misses != 2 {
+		t.Fatalf("distinct seed must miss: misses=%d", st.Misses)
 	}
 	if sameMeasurement(first, other) {
 		t.Fatal("distinct noise seeds produced bitwise-equal noise (suspicious)")
@@ -112,11 +114,12 @@ func TestCacheMatchesUncachedBackend(t *testing.T) {
 			t.Fatalf("flat %d: cache changed the observable measurement", f)
 		}
 	}
-	if cache.Hits() == 0 {
+	st := cache.Stats()
+	if st.Hits == 0 {
 		t.Fatal("repeat sweep produced no cache hits")
 	}
-	if cache.Misses()+cache.Hits() != 32 {
-		t.Fatalf("accounting broken: %d+%d != 32", cache.Misses(), cache.Hits())
+	if st.Misses+st.Hits != 32 {
+		t.Fatalf("accounting broken: %d+%d != 32", st.Misses, st.Hits)
 	}
 }
 
@@ -131,7 +134,7 @@ func TestCacheUnseededPassThrough(t *testing.T) {
 	c := sp.FromFlat(3)
 	cache.Measure(w, c)
 	cache.Measure(w, c)
-	if cache.Hits() != 0 || cache.Len() != 0 {
+	if st := cache.Stats(); st.Hits != 0 || st.Entries != 0 {
 		t.Fatal("shared-stream Measure must never be cached")
 	}
 	if counting.Calls() != 2 {
@@ -185,41 +188,5 @@ func TestFlakySeededIsOrderIndependent(t *testing.T) {
 	}
 	if flaky2.Failures() != flaky.Failures() {
 		t.Fatalf("failure counts diverge: %d vs %d", flaky.Failures(), flaky2.Failures())
-	}
-}
-
-func TestReplayServesLoggedMeasurements(t *testing.T) {
-	w, sp := testWorkload(t)
-	logged := sp.FromFlat(5)
-	recs := []record.Record{
-		{Task: "t", Workload: w.Key(), Tuner: "x", Step: 1, Config: logged.Index, GFLOPS: 123.5, Valid: true},
-		{Task: "t", Workload: "unknown-workload", Tuner: "x", Step: 2, Config: logged.Index, GFLOPS: 1, Valid: true},
-	}
-	spaces := map[string]*space.Space{w.Key(): sp}
-
-	replayOnly := NewReplay(recs, spaces, nil)
-	if got := replayOnly.MeasureSeeded(w, logged, 77); !got.Valid || got.GFLOPS != 123.5 {
-		t.Fatalf("logged measurement not replayed: %+v", got)
-	}
-	if got := replayOnly.Measure(w, sp.FromFlat(6)); got.Valid {
-		t.Fatal("replay-only miss must be invalid")
-	}
-	if replayOnly.Hits() != 1 || replayOnly.Misses() != 1 {
-		t.Fatalf("hits=%d misses=%d", replayOnly.Hits(), replayOnly.Misses())
-	}
-	if _, _, err := replayOnly.NetworkLatency(nil, 10); err == nil {
-		t.Fatal("replay-only NetworkLatency must error")
-	}
-
-	inner, err := New("gtx1080ti", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replay := NewReplay(recs, spaces, inner)
-	if got := replay.MeasureSeeded(w, sp.FromFlat(6), 8); !got.Valid {
-		t.Fatalf("miss must forward to inner backend: %+v", got)
-	}
-	if !strings.HasPrefix(replay.Name(), "replay(") {
-		t.Fatalf("name = %q", replay.Name())
 	}
 }

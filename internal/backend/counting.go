@@ -9,7 +9,8 @@ import (
 )
 
 // Counting wraps a backend and counts every raw measurement call that
-// reaches it. Layered *under* a Cache it counts only cache misses, which is
+// reaches it. Layered *under* a memo (NewCache, WithShared) it counts only
+// cache misses, which is
 // how the tests assert that memoization issues strictly fewer simulator
 // calls; layered on top it counts what the tuner asked for.
 //

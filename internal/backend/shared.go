@@ -8,6 +8,16 @@ import (
 	"repro/internal/tensor"
 )
 
+// cacheKey identifies one seeded measurement. The device name is part of
+// the key so a memo shared across backends can never serve a measurement
+// from the wrong device.
+type cacheKey struct {
+	device   string
+	workload string
+	flat     uint64
+	seed     int64
+}
+
 // DefaultSharedCacheCapacity bounds the fleet-wide measurement memo. One
 // entry is a cacheKey plus a Measurement (~100 bytes), so the default caps
 // the cache near 100 MB — large enough to hold every measurement of a
@@ -117,15 +127,26 @@ func (s *SharedCache) store(k cacheKey, mr hwsim.Measurement) {
 	s.m[k] = mr
 }
 
-// Shared layers a SharedCache over an inner backend. Unlike Cache it is a
-// view over fleet-wide state: many Shared instances (one per job) consult
-// and populate the same memo. It deliberately keeps the inner backend's
-// Name — the wrapper must be observationally invisible, and backend names
-// key cache entries and error messages alike.
+// Shared layers a SharedCache over an inner backend. The memo may be
+// private to one wrapper (NewCache) or fleet-wide state that many Shared
+// instances (one per job) consult and populate (WithShared). It
+// deliberately keeps the inner backend's Name — the wrapper must be
+// observationally invisible, and backend names key cache entries and error
+// messages alike.
 type Shared struct {
 	inner Backend
 	sc    *SharedCache
 }
+
+// NewCache wraps inner with a private seeded-measurement memo of the
+// default capacity — the memo for one process's comparison grid rather
+// than a fleet.
+func NewCache(inner Backend) *Shared {
+	return &Shared{inner: inner, sc: NewSharedCache(0)}
+}
+
+// Stats snapshots the accounting of the memo behind this wrapper.
+func (s *Shared) Stats() SharedCacheStats { return s.sc.Stats() }
 
 // WithShared wraps inner with the fleet memo; a nil cache returns inner
 // unchanged, so callers can thread an optional cache without branching.

@@ -11,7 +11,7 @@ import (
 
 // TestPipelineCacheSavesRemeasurements is the core-layer memoization
 // contract: with re-measure-top-K enabled, every top-K config's repeat 0
-// reuses the tuning run's noise seed, so layering a Cache over the backend
+// reuses the tuning run's noise seed, so layering a memo over the backend
 // must issue strictly fewer raw simulator calls than the uncached pipeline
 // while leaving the deployment bit-identical.
 func TestPipelineCacheSavesRemeasurements(t *testing.T) {
@@ -37,7 +37,7 @@ func TestPipelineCacheSavesRemeasurements(t *testing.T) {
 	if cachedCount.Calls() >= rawCount.Calls() {
 		t.Fatalf("cache saved nothing: %d raw calls vs %d uncached", cachedCount.Calls(), rawCount.Calls())
 	}
-	if cache.Hits() == 0 {
+	if cache.Stats().Hits == 0 {
 		t.Fatal("re-measure-top-K produced no cache hits")
 	}
 	if plain.LatencyMS != cached.LatencyMS || plain.Variance != cached.Variance ||

@@ -163,29 +163,6 @@ func (m *Model) Predict(x []float64) float64 {
 	return s
 }
 
-// PredictBatch returns the posterior mean at each query point.
-func (m *Model) PredictBatch(xs [][]float64) []float64 {
-	return m.PredictBatchParallel(xs, par.Workers())
-}
-
-// PredictBatchParallel is PredictBatch over the worker pool. Each output
-// depends only on its own query, so the result is bit-identical to calling
-// Predict per point, for any worker count.
-func (m *Model) PredictBatchParallel(xs [][]float64, workers int) []float64 {
-	out := make([]float64, len(xs))
-	if len(xs)*len(m.x) < gpParallelMinWork {
-		workers = 1
-	}
-	par.For(len(xs), workers, func(i int) {
-		out[i] = m.Predict(xs[i])
-	})
-	return out
-}
-
-// gpParallelMinWork is the query-count x training-size product below which
-// PredictBatch stays serial; smaller batches cannot amortize pool dispatch.
-const gpParallelMinWork = 1 << 12
-
 // PredictVar returns the posterior mean and variance at x; the variance
 // quantifies epistemic uncertainty and can drive acquisition functions.
 func (m *Model) PredictVar(x []float64) (mean, variance float64) {

@@ -27,8 +27,8 @@ func crashLog(t *testing.T, n, cut int) []byte {
 
 // TestReadTruncatedFinalLine is the crash-recovery contract: a run killed
 // mid-Append leaves a partial last line, and Read must hand back the intact
-// prefix — the records Resume and backend.Replay can still use — instead of
-// refusing the whole log.
+// prefix — the records Resume can still use — instead of refusing the
+// whole log.
 func TestReadTruncatedFinalLine(t *testing.T) {
 	whole := crashLog(t, 4, 0)
 	// Length of the final line including its newline: cuts strictly inside

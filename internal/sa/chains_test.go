@@ -8,12 +8,14 @@ import (
 	"repro/internal/space"
 )
 
-// countingDelta wraps a BatchObjective as a from-scratch DeltaObjective:
-// proposals are re-scored fully, ignoring the delta hints. Because every
-// score equals the from-scratch evaluation, FindMaximaDelta over it must
-// reproduce FindMaxima bit for bit.
+// batchFunc scores a batch of configurations from scratch.
+type batchFunc func([]space.Config) []float64
+
+// countingDelta adapts a batchFunc as a from-scratch DeltaObjective:
+// proposals are re-scored fully, ignoring the delta hints. It counts the
+// protocol calls the annealer makes; Fork shares the counters.
 type countingDelta struct {
-	obj     BatchObjective
+	obj     batchFunc
 	mu      sync.Mutex
 	inits   int
 	rounds  int
@@ -48,6 +50,9 @@ func (d *countingDelta) Fork() DeltaObjective {
 	return d
 }
 
+// scratch wraps f as a counting from-scratch DeltaObjective.
+func scratch(f batchFunc) *countingDelta { return &countingDelta{obj: f} }
+
 func sameConfigs(a, b []space.Config) bool {
 	if len(a) != len(b) {
 		return false
@@ -60,25 +65,76 @@ func sameConfigs(a, b []space.Config) bool {
 	return true
 }
 
-// TestFindMaximaDeltaMatchesBatch pins engine parity: the delta-objective
-// entry point with a from-scratch scorer must walk the identical RNG
-// stream and return the identical best-first candidate list as the legacy
-// BatchObjective path.
+// peakTerm is knob k's contribution to peakObjective at option index v.
+func peakTerm(k, v int) float64 {
+	d := float64(v - [3]int{15, 5, 10}[k])
+	return -d * d
+}
+
+// deltaPeak scores peakObjective incrementally, from the protocol alone:
+// it tracks each walker's current point and score, rescores a proposal by
+// swapping the one changed knob's term, and adopts it only on Commit.
+// Every term is a small integer, so the running sums are exact.
+type deltaPeak struct {
+	t                 *testing.T
+	cur               []space.Config
+	curScore, pending []float64
+	last              []space.Config
+}
+
+func (d *deltaPeak) InitBatch(points []space.Config) []float64 {
+	d.cur = make([]space.Config, len(points))
+	for i, c := range points {
+		d.cur[i] = space.Config{Index: append([]int(nil), c.Index...)}
+	}
+	d.curScore = peakObjective(points)
+	d.pending = make([]float64, len(points))
+	return d.curScore
+}
+
+func (d *deltaPeak) ProposeBatch(proposals []space.Config, changed []int) []float64 {
+	d.last = proposals
+	for i, p := range proposals {
+		c, k := d.cur[i], changed[i]
+		for j := range p.Index {
+			if j != k && p.Index[j] != c.Index[j] {
+				d.t.Fatalf("walker %d: proposal differs at knob %d, hint says %d", i, j, k)
+			}
+		}
+		d.pending[i] = d.curScore[i]
+		if k >= 0 {
+			d.pending[i] += peakTerm(k, p.Index[k]) - peakTerm(k, c.Index[k])
+		}
+	}
+	return d.pending
+}
+
+func (d *deltaPeak) Commit(i int) {
+	copy(d.cur[i].Index, d.last[i].Index)
+	d.curScore[i] = d.pending[i]
+}
+
+func (d *deltaPeak) Fork() DeltaObjective { return &deltaPeak{t: d.t} }
+
+// TestFindMaximaDeltaMatchesBatch pins the delta protocol: an objective
+// that rescores proposals incrementally from the changed-knob hints and
+// Commit notifications must walk the identical RNG stream and return the
+// identical best-first candidate list as from-scratch batch scoring.
 func TestFindMaximaDeltaMatchesBatch(t *testing.T) {
 	sp := gridSpace()
 	opts := Options{ParallelSize: 24, Iters: 60}
 	for seed := int64(0); seed < 5; seed++ {
-		want := FindMaxima(sp, peakObjective, 8, nil, opts, rand.New(rand.NewSource(seed)))
-		d := &countingDelta{obj: peakObjective}
-		got := FindMaximaDelta(sp, d, 8, nil, opts, rand.New(rand.NewSource(seed)))
+		batch := scratch(peakObjective)
+		want := FindMaxima(sp, batch, 8, nil, opts, rand.New(rand.NewSource(seed)))
+		got := FindMaxima(sp, &deltaPeak{t: t}, 8, nil, opts, rand.New(rand.NewSource(seed)))
 		if !sameConfigs(want, got) {
 			t.Fatalf("seed %d: delta path diverges from batch path", seed)
 		}
-		if d.inits != 1 || d.rounds != opts.Iters {
-			t.Fatalf("seed %d: %d inits / %d proposal rounds, want 1 / %d", seed, d.inits, d.rounds, opts.Iters)
+		if batch.inits != 1 || batch.rounds != opts.Iters {
+			t.Fatalf("seed %d: %d inits / %d proposal rounds, want 1 / %d", seed, batch.inits, batch.rounds, opts.Iters)
 		}
-		if d.commits == 0 {
-			t.Fatalf("seed %d: no commits recorded over %d rounds", seed, d.rounds)
+		if batch.commits == 0 {
+			t.Fatalf("seed %d: no commits recorded over %d rounds", seed, batch.rounds)
 		}
 	}
 }
@@ -95,7 +151,7 @@ func TestChainsWorkerCountInvariance(t *testing.T) {
 		for _, workers := range []int{1, 4, 8} {
 			opts := Options{ParallelSize: 32, Iters: 40, Chains: chains, Workers: workers}
 			rng := rand.New(rand.NewSource(42))
-			got := FindMaxima(sp, peakObjective, 10, nil, opts, rng)
+			got := FindMaxima(sp, scratch(peakObjective), 10, nil, opts, rng)
 			if workers == 1 {
 				ref = got
 				continue
@@ -107,16 +163,16 @@ func TestChainsWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestChainsDeltaWorkerCountInvariance runs the same grid through the
-// delta entry point, exercising Fork() under concurrent chains.
+// TestChainsDeltaWorkerCountInvariance runs a second grid and checks the
+// Fork() protocol under concurrent chains: one fork per extra chain.
 func TestChainsDeltaWorkerCountInvariance(t *testing.T) {
 	sp := gridSpace()
 	for _, chains := range []int{2, 4} {
 		var ref []space.Config
 		for _, workers := range []int{1, 4, 8} {
 			opts := Options{ParallelSize: 32, Iters: 40, Chains: chains, Workers: workers}
-			d := &countingDelta{obj: peakObjective}
-			got := FindMaximaDelta(sp, d, 10, nil, opts, rand.New(rand.NewSource(7)))
+			d := scratch(peakObjective)
+			got := FindMaxima(sp, d, 10, nil, opts, rand.New(rand.NewSource(7)))
 			if d.forks != chains-1 {
 				t.Fatalf("chains=%d: %d forks, want %d", chains, d.forks, chains-1)
 			}
@@ -137,7 +193,7 @@ func TestChainsFindPeak(t *testing.T) {
 	sp := gridSpace()
 	opts := Options{ParallelSize: 96, Iters: 120, Chains: 4}
 	rng := rand.New(rand.NewSource(3))
-	got := FindMaxima(sp, peakObjective, 5, nil, opts, rng)
+	got := FindMaxima(sp, scratch(peakObjective), 5, nil, opts, rng)
 	if len(got) != 5 {
 		t.Fatalf("got %d results", len(got))
 	}
@@ -157,7 +213,7 @@ func TestChainsRespectExclude(t *testing.T) {
 	}
 	exclude := map[uint64]bool{peak.Flat(): true}
 	rng := rand.New(rand.NewSource(4))
-	got := FindMaxima(sp, peakObjective, 8, exclude, Options{ParallelSize: 64, Iters: 80, Chains: 4}, rng)
+	got := FindMaxima(sp, scratch(peakObjective), 8, exclude, Options{ParallelSize: 64, Iters: 80, Chains: 4}, rng)
 	for _, c := range got {
 		if c.Flat() == peak.Flat() {
 			t.Fatal("excluded config returned from chained run")
@@ -169,7 +225,7 @@ func TestChainsRespectExclude(t *testing.T) {
 func TestChainsMoreThanWalkers(t *testing.T) {
 	sp := gridSpace()
 	rng := rand.New(rand.NewSource(5))
-	got := FindMaxima(sp, peakObjective, 4, nil, Options{ParallelSize: 3, Iters: 20, Chains: 16}, rng)
+	got := FindMaxima(sp, scratch(peakObjective), 4, nil, Options{ParallelSize: 3, Iters: 20, Chains: 16}, rng)
 	if len(got) == 0 {
 		t.Fatal("no results from chains > walkers")
 	}

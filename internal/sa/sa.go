@@ -4,13 +4,13 @@
 // decaying temperature while a top-k tracker collects the best unvisited
 // configurations found anywhere along the walk.
 //
-// Two objective shapes are supported. The plain BatchObjective scores every
-// proposal batch from scratch. A DeltaObjective additionally learns which
-// single knob each proposal changed relative to its walker's current point,
-// and is told when a proposal is accepted — enough for an implementation to
-// keep encoded feature rows and cached per-tree predictions and rescore
-// each proposal incrementally (see internal/tuner's compiled-surrogate
-// objective).
+// The objective is a DeltaObjective: besides scoring each proposal batch
+// it learns which single knob each proposal changed relative to its
+// walker's current point, and is told when a proposal is accepted — enough
+// for an implementation to keep encoded feature rows and cached per-tree
+// predictions and rescore each proposal incrementally (see
+// internal/tuner's compiled-surrogate objective). An objective that
+// ignores the hints and scores from scratch is equally valid.
 //
 // Walkers can optionally be partitioned into independent parallel chains
 // (Options.Chains): each chain anneals its own walker subset under its own
@@ -29,14 +29,8 @@ import (
 	"repro/internal/space"
 )
 
-// BatchObjective scores a batch of configurations; higher is better. The
-// tuner backs this with cost-model batch prediction. With Options.Chains
-// > 1 the function is called concurrently from chain goroutines and must
-// be safe for concurrent use.
-type BatchObjective func([]space.Config) []float64
-
-// DeltaObjective is the incremental-scoring upgrade of BatchObjective.
-// The annealer drives it through a strict protocol, per chain:
+// DeltaObjective scores configurations; higher is better. The annealer
+// drives it through a strict protocol, per chain:
 //
 //  1. InitBatch scores the chain's initial walker points from scratch.
 //  2. Each round, ProposeBatch scores the proposal batch; proposals[i]
@@ -207,59 +201,12 @@ func (t *topK) drain() []scoredConfig {
 	return out
 }
 
-// scorer is the engine-internal objective shape both objective kinds
-// adapt to.
-type scorer interface {
-	scoreInit(points []space.Config) []float64
-	scoreProposals(proposals []space.Config, changed []int) []float64
-	commit(i int)
-}
-
-// funcScorer adapts a BatchObjective: every batch is scored from scratch
-// and accept notifications are dropped.
-type funcScorer struct{ obj BatchObjective }
-
-func (s funcScorer) scoreInit(points []space.Config) []float64 { return s.obj(points) }
-func (s funcScorer) scoreProposals(proposals []space.Config, _ []int) []float64 {
-	return s.obj(proposals)
-}
-func (s funcScorer) commit(int) {}
-
-// deltaScorer adapts a DeltaObjective.
-type deltaScorer struct{ obj DeltaObjective }
-
-func (s deltaScorer) scoreInit(points []space.Config) []float64 { return s.obj.InitBatch(points) }
-func (s deltaScorer) scoreProposals(proposals []space.Config, changed []int) []float64 {
-	return s.obj.ProposeBatch(proposals, changed)
-}
-func (s deltaScorer) commit(i int) { s.obj.Commit(i) }
-
 // FindMaxima anneals walkers over the space and returns up to k distinct
 // configurations with the highest objective values, excluding flat indices
 // present in exclude (typically the already-measured set; read-only during
-// the call). Results are ordered best-first.
-func FindMaxima(sp *space.Space, obj BatchObjective, k int, exclude map[uint64]bool, opts Options, rng *rand.Rand) []space.Config {
-	return findMaxima(sp, func() scorer { return funcScorer{obj} }, k, exclude, opts, rng)
-}
-
-// FindMaximaDelta is FindMaxima over a DeltaObjective: identical annealing
-// semantics and RNG stream, with the objective given enough context to
-// score proposals incrementally. With any objective that scores a proposal
-// identically to a from-scratch evaluation, the result is bit-identical to
-// FindMaxima.
-func FindMaximaDelta(sp *space.Space, obj DeltaObjective, k int, exclude map[uint64]bool, opts Options, rng *rand.Rand) []space.Config {
-	first := true
-	mk := func() scorer {
-		if first {
-			first = false
-			return deltaScorer{obj}
-		}
-		return deltaScorer{obj.Fork()}
-	}
-	return findMaxima(sp, mk, k, exclude, opts, rng)
-}
-
-func findMaxima(sp *space.Space, mk func() scorer, k int, exclude map[uint64]bool, opts Options, rng *rand.Rand) []space.Config {
+// the call). Results are ordered best-first. The first chain scores through
+// obj itself; each additional parallel chain through a Fork of it.
+func FindMaxima(sp *space.Space, obj DeltaObjective, k int, exclude map[uint64]bool, opts Options, rng *rand.Rand) []space.Config {
 	opts = opts.normalized()
 	if k <= 0 {
 		return nil
@@ -281,7 +228,7 @@ func findMaxima(sp *space.Space, mk func() scorer, k int, exclude map[uint64]boo
 		chains = opts.ParallelSize
 	}
 	if chains <= 1 {
-		top := runChain(sp, mk(), opts.ParallelSize, opts, k, exclude, rng, mutable)
+		top := runChain(sp, obj, opts.ParallelSize, opts, k, exclude, rng, mutable)
 		return configsOf(top.drain())
 	}
 
@@ -291,9 +238,9 @@ func findMaxima(sp *space.Space, mk func() scorer, k int, exclude map[uint64]boo
 	// per-chain bests merge in chain order — Workers only schedules, it
 	// never changes what is computed.
 	type chainState struct {
-		//lint:ignore rngfield per-call scratch for one findMaxima invocation, never snapshotted
+		//lint:ignore rngfield per-call scratch for one FindMaxima invocation, never snapshotted
 		rng     *rand.Rand
-		sc      scorer
+		obj     DeltaObjective
 		walkers int
 		top     *topK
 	}
@@ -304,7 +251,11 @@ func findMaxima(sp *space.Space, mk func() scorer, k int, exclude map[uint64]boo
 		if c < extra {
 			w++
 		}
-		cs[c] = chainState{rng: rand.New(rand.NewSource(rng.Int63())), sc: mk(), walkers: w}
+		o := obj
+		if c > 0 {
+			o = obj.Fork()
+		}
+		cs[c] = chainState{rng: rand.New(rand.NewSource(rng.Int63())), obj: o, walkers: w}
 	}
 	workers := opts.Workers
 	if workers <= 0 {
@@ -312,7 +263,7 @@ func findMaxima(sp *space.Space, mk func() scorer, k int, exclude map[uint64]boo
 	}
 	par.For(chains, workers, func(c int) {
 		s := &cs[c]
-		s.top = runChain(sp, s.sc, s.walkers, opts, k, exclude, s.rng, mutable)
+		s.top = runChain(sp, s.obj, s.walkers, opts, k, exclude, s.rng, mutable)
 	})
 	merged := newTopK(k, exclude)
 	for c := range cs {
@@ -335,7 +286,7 @@ func configsOf(entries []scoredConfig) []space.Config {
 // With the caller's RNG and walkers == ParallelSize this is the exact
 // legacy single-chain loop: same draw order, same acceptance rule, same
 // offer sequence.
-func runChain(sp *space.Space, sc scorer, walkers int, opts Options, k int, exclude map[uint64]bool, rng *rand.Rand, mutable bool) *topK {
+func runChain(sp *space.Space, obj DeltaObjective, walkers int, opts Options, k int, exclude map[uint64]bool, rng *rand.Rand, mutable bool) *topK {
 	lens, strides := knobRadix(sp)
 	points := make([]space.Config, walkers)
 	flats := make([]uint64, walkers)
@@ -344,7 +295,7 @@ func runChain(sp *space.Space, sc scorer, walkers int, opts Options, k int, excl
 		flats[i] = points[i].Flat()
 	}
 	scores := make([]float64, walkers)
-	copy(scores, sc.scoreInit(points))
+	copy(scores, obj.InitBatch(points))
 
 	top := newTopK(k, exclude)
 	for i, c := range points {
@@ -375,7 +326,7 @@ func runChain(sp *space.Space, sc scorer, walkers int, opts Options, k int, excl
 			// Loop invariant: proposals[i] differs from points[i] at most at
 			// the knob it mutated last round (true after both accept — the
 			// buffers swap — and reject), so one repair write re-syncs it
-			// and the full Index copy in mutateInto is skipped.
+			// instead of a full Index copy.
 			if pk := changed[i]; pk >= 0 {
 				proposals[i].Index[pk] = c.Index[pk]
 			}
@@ -391,7 +342,7 @@ func runChain(sp *space.Space, sc scorer, walkers int, opts Options, k int, excl
 				propFlats[i] = flats[i]
 			}
 		}
-		copy(propScores, sc.scoreProposals(proposals, changed))
+		copy(propScores, obj.ProposeBatch(proposals, changed))
 		for i := range points {
 			accept := propScores[i] >= scores[i]
 			if !accept && temp > 0 {
@@ -407,7 +358,7 @@ func runChain(sp *space.Space, sc scorer, walkers int, opts Options, k int, excl
 				}
 			}
 			if accept {
-				sc.commit(i)
+				obj.Commit(i)
 				points[i], proposals[i] = proposals[i], points[i]
 				flats[i] = propFlats[i]
 				scores[i] = propScores[i]
@@ -438,11 +389,9 @@ func knobRadix(sp *space.Space) ([]int, []uint64) {
 // mutateIdx reassigns one random knob of dst to a random different option
 // and returns that knob's index (-1 when four attempts only drew knobs
 // with fewer than two options and dst is unchanged). lens holds the
-// per-knob option counts of dst's space. The RNG draw sequence is
-// identical to mutate's, so swapping between them never shifts the stream.
-// The annealing loop calls it on a proposal buffer it has already
-// re-synced to the walker's current point, skipping the Index copy
-// mutateInto performs.
+// per-knob option counts of dst's space. The annealing loop calls it on a
+// proposal buffer it has already re-synced to the walker's current point,
+// so no Index copy is needed.
 func mutateIdx(lens []int, dst space.Config, rng *rand.Rand) int {
 	n := len(lens)
 	for attempt := 0; attempt < 4; attempt++ {
@@ -459,22 +408,4 @@ func mutateIdx(lens []int, dst space.Config, rng *rand.Rand) int {
 		return ki
 	}
 	return -1
-}
-
-// mutateInto overwrites dst's Index with a copy of src's and applies
-// mutateIdx to it. dst must have the same Index length as src.
-func mutateInto(lens []int, dst, src space.Config, rng *rand.Rand) int {
-	copy(dst.Index, src.Index)
-	return mutateIdx(lens, dst, rng)
-}
-
-// mutate returns a copy of c with one random knob reassigned to a random
-// different option, plus the index of the knob it changed (-1 when four
-// attempts only drew knobs with fewer than two options and the copy is
-// unchanged). The annealing loop itself uses the allocation-free
-// mutateInto.
-func mutate(sp *space.Space, c space.Config, rng *rand.Rand) (space.Config, int) {
-	lens, _ := knobRadix(sp)
-	m := c.Clone()
-	return m, mutateInto(lens, m, c, rng)
 }

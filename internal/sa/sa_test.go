@@ -32,10 +32,21 @@ func peakObjective(batch []space.Config) []float64 {
 	return out
 }
 
+// TestFindMaximaFindsPeak checks the annealer reaches the global peak and
+// drives the objective through its protocol: one InitBatch, one
+// ProposeBatch per iteration, and a Commit for accepted proposals.
 func TestFindMaximaFindsPeak(t *testing.T) {
 	sp := gridSpace()
 	rng := rand.New(rand.NewSource(1))
-	got := FindMaxima(sp, peakObjective, 5, nil, DefaultOptions(), rng)
+	obj := scratch(peakObjective)
+	opts := DefaultOptions()
+	got := FindMaxima(sp, obj, 5, nil, opts, rng)
+	if obj.inits != 1 || obj.rounds != opts.Iters {
+		t.Fatalf("%d inits / %d proposal rounds, want 1 / %d", obj.inits, obj.rounds, opts.Iters)
+	}
+	if obj.commits == 0 {
+		t.Fatalf("no commits recorded over %d rounds", obj.rounds)
+	}
 	if len(got) != 5 {
 		t.Fatalf("got %d results", len(got))
 	}
@@ -55,7 +66,7 @@ func TestFindMaximaFindsPeak(t *testing.T) {
 func TestFindMaximaDistinct(t *testing.T) {
 	sp := gridSpace()
 	rng := rand.New(rand.NewSource(2))
-	got := FindMaxima(sp, peakObjective, 20, nil, DefaultOptions(), rng)
+	got := FindMaxima(sp, scratch(peakObjective), 20, nil, DefaultOptions(), rng)
 	seen := make(map[uint64]bool)
 	for _, c := range got {
 		f := c.Flat()
@@ -74,7 +85,7 @@ func TestFindMaximaExcludes(t *testing.T) {
 		t.Fatal(err)
 	}
 	exclude := map[uint64]bool{peak.Flat(): true}
-	got := FindMaxima(sp, peakObjective, 5, exclude, DefaultOptions(), rng)
+	got := FindMaxima(sp, scratch(peakObjective), 5, exclude, DefaultOptions(), rng)
 	for _, c := range got {
 		if c.Flat() == peak.Flat() {
 			t.Fatal("excluded config returned")
@@ -85,7 +96,7 @@ func TestFindMaximaExcludes(t *testing.T) {
 func TestFindMaximaZeroK(t *testing.T) {
 	sp := gridSpace()
 	rng := rand.New(rand.NewSource(4))
-	if got := FindMaxima(sp, peakObjective, 0, nil, DefaultOptions(), rng); got != nil {
+	if got := FindMaxima(sp, scratch(peakObjective), 0, nil, DefaultOptions(), rng); got != nil {
 		t.Fatal("k=0 should return nil")
 	}
 }
@@ -100,7 +111,7 @@ func TestFindMaximaBeatsRandomSearch(t *testing.T) {
 	rounds := 10
 	for r := 0; r < rounds; r++ {
 		rng := rand.New(rand.NewSource(int64(100 + r)))
-		saBest := peakObjective(FindMaxima(sp, peakObjective, 1, nil, opts, rng))[0]
+		saBest := peakObjective(FindMaxima(sp, scratch(peakObjective), 1, nil, opts, rng))[0]
 		rng2 := rand.New(rand.NewSource(int64(200 + r)))
 		randBest := -1e18
 		for i := 0; i < budget; i++ {
@@ -152,6 +163,16 @@ func TestOptionsNormalizedSchedule(t *testing.T) {
 	}
 }
 
+// mutate returns a copy of c with one random knob reassigned to a random
+// different option, plus the index of the knob it changed (-1 when four
+// attempts only drew knobs with fewer than two options and the copy is
+// unchanged) — mutateIdx on a fresh clone.
+func mutate(sp *space.Space, c space.Config, rng *rand.Rand) (space.Config, int) {
+	lens, _ := knobRadix(sp)
+	m := c.Clone()
+	return m, mutateIdx(lens, m, rng)
+}
+
 func TestMutateChangesOneKnob(t *testing.T) {
 	sp := gridSpace()
 	rng := rand.New(rand.NewSource(5))
@@ -194,22 +215,20 @@ func TestMutateSingleOptionKnobs(t *testing.T) {
 // re-offering the unmutated clone for Iters rounds.
 func TestFindMaximaDegenerateSpace(t *testing.T) {
 	sp := space.New(space.NewEnumKnob("a", 7), space.NewEnumKnob("b", 1))
-	calls := 0
-	obj := func(batch []space.Config) []float64 {
-		calls++
+	obj := scratch(func(batch []space.Config) []float64 {
 		out := make([]float64, len(batch))
 		for i := range out {
 			out[i] = 1
 		}
 		return out
-	}
+	})
 	rng := rand.New(rand.NewSource(8))
 	got := FindMaxima(sp, obj, 5, nil, Options{ParallelSize: 16, Iters: 200}, rng)
 	if len(got) != 1 {
 		t.Fatalf("one-point space returned %d configs", len(got))
 	}
-	if calls != 1 {
-		t.Fatalf("objective called %d times on a degenerate space, want 1 (init only)", calls)
+	if obj.inits != 1 || obj.rounds != 0 {
+		t.Fatalf("objective called %d/%d times (init/propose) on a degenerate space, want 1/0", obj.inits, obj.rounds)
 	}
 }
 
@@ -217,7 +236,7 @@ func TestFindMaximaSmallSpace(t *testing.T) {
 	// k larger than the whole space: return everything reachable.
 	sp := space.New(space.NewEnumKnob("a", 0, 1), space.NewEnumKnob("b", 0, 1))
 	rng := rand.New(rand.NewSource(7))
-	got := FindMaxima(sp, peakObjectiveSmall, 100, nil, Options{ParallelSize: 8, Iters: 20}, rng)
+	got := FindMaxima(sp, scratch(peakObjectiveSmall), 100, nil, Options{ParallelSize: 8, Iters: 20}, rng)
 	if len(got) == 0 || len(got) > 4 {
 		t.Fatalf("got %d results from a 4-point space", len(got))
 	}

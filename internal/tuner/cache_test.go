@@ -8,7 +8,7 @@ import (
 )
 
 // TestSharedCacheAcrossTuners is the cmd/compare memoization contract: a
-// (tuner, seed) grid sharing one Cache issues strictly fewer raw simulator
+// (tuner, seed) grid sharing one NewCache memo issues strictly fewer raw simulator
 // calls than the sum of its runs — BTED and BTED+BAO at the same run seed
 // share their entire initialization set — while every run's samples stay
 // bit-identical to an uncached run.
@@ -40,12 +40,13 @@ func TestSharedCacheAcrossTuners(t *testing.T) {
 	if counting.Calls() >= int64(total) {
 		t.Fatalf("cache saved nothing: %d raw calls for %d measurements", counting.Calls(), total)
 	}
-	if cache.Hits() == 0 {
+	hits := cache.Stats().Hits
+	if hits == 0 {
 		t.Fatal("no cache hits across the grid")
 	}
-	if counting.Calls()+cache.Hits() < int64(total) {
+	if counting.Calls()+hits < int64(total) {
 		t.Fatalf("accounting broken: %d raw + %d hits < %d measurements",
-			counting.Calls(), cache.Hits(), total)
+			counting.Calls(), hits, total)
 	}
 }
 

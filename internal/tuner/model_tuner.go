@@ -159,7 +159,7 @@ func (t *ModelTuner) open(task *Task, b backend.Backend, opts Options, st *Sessi
 			// are bit-identical to model.Predict(c.Features()) per
 			// candidate, so the sample stream matches the naive objective.
 			saObj = resetSAObjective(saObj, model, task.Space)
-			cands = sa.FindMaximaDelta(task.Space, saObj, opts.PlanSize, s.visited, t.saOptions(opts), rng)
+			cands = sa.FindMaxima(task.Space, saObj, opts.PlanSize, s.visited, t.saOptions(opts), rng)
 		}
 		// Epsilon-greedy exploration plus padding when SA under-delivers.
 		// The batch is planned serially (all RNG draws happen here), then

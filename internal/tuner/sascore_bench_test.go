@@ -23,6 +23,6 @@ func BenchmarkSACandidateSelection(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		obj = resetSAObjective(obj, model, task.Space)
-		sa.FindMaximaDelta(task.Space, obj, 24, nil, sa.Options{}, rand.New(rand.NewSource(int64(i))))
+		sa.FindMaxima(task.Space, obj, 24, nil, sa.Options{}, rand.New(rand.NewSource(int64(i))))
 	}
 }

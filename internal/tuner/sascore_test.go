@@ -34,21 +34,35 @@ func sascoreModel(t testing.TB, sp *space.Space, seed int64) *xgb.Model {
 	return m
 }
 
+// naiveObjective is the from-scratch oracle: every batch is scored with
+// the pointer-tree model.Predict(c.Features()) and the delta hints are
+// ignored. It is read-only, so chains may share one instance.
+type naiveObjective struct{ model *xgb.Model }
+
+func (o naiveObjective) score(batch []space.Config) []float64 {
+	out := make([]float64, len(batch))
+	for i, c := range batch {
+		out[i] = o.model.Predict(c.Features())
+	}
+	return out
+}
+
+func (o naiveObjective) InitBatch(points []space.Config) []float64 { return o.score(points) }
+func (o naiveObjective) ProposeBatch(proposals []space.Config, _ []int) []float64 {
+	return o.score(proposals)
+}
+func (o naiveObjective) Commit(int)              {}
+func (o naiveObjective) Fork() sa.DeltaObjective { return o }
+
 // TestSAObjectiveMatchesNaive is the end-to-end parity contract of the
-// compiled delta path on a real tuning space: FindMaximaDelta over
+// compiled delta path on a real tuning space: FindMaxima over
 // newSAObjective must return the identical candidate list — same configs,
 // same order — as FindMaxima over the naive model.Predict(c.Features())
 // objective, for serial and chained runs alike.
 func TestSAObjectiveMatchesNaive(t *testing.T) {
 	task := testTask(t)
 	model := sascoreModel(t, task.Space, 11)
-	naive := func(batch []space.Config) []float64 {
-		out := make([]float64, len(batch))
-		for i, c := range batch {
-			out[i] = model.Predict(c.Features())
-		}
-		return out
-	}
+	naive := naiveObjective{model}
 	for _, opts := range []sa.Options{
 		{},
 		{ParallelSize: 48, Iters: 80},
@@ -57,7 +71,7 @@ func TestSAObjectiveMatchesNaive(t *testing.T) {
 		for seed := int64(0); seed < 3; seed++ {
 			want := sa.FindMaxima(task.Space, naive, 16, nil, opts, rand.New(rand.NewSource(seed)))
 			obj := newSAObjective(model, task.Space)
-			got := sa.FindMaximaDelta(task.Space, obj, 16, nil, opts, rand.New(rand.NewSource(seed)))
+			got := sa.FindMaxima(task.Space, obj, 16, nil, opts, rand.New(rand.NewSource(seed)))
 			if len(want) != len(got) {
 				t.Fatalf("opts %+v seed %d: %d vs %d candidates", opts, seed, len(want), len(got))
 			}
@@ -81,7 +95,7 @@ func TestSAObjectiveRespectsExclude(t *testing.T) {
 		exclude[task.Space.Random(rng).Flat()] = true
 	}
 	obj := newSAObjective(model, task.Space)
-	got := sa.FindMaximaDelta(task.Space, obj, 24, exclude, sa.Options{}, rand.New(rand.NewSource(6)))
+	got := sa.FindMaxima(task.Space, obj, 24, exclude, sa.Options{}, rand.New(rand.NewSource(6)))
 	for _, c := range got {
 		if exclude[c.Flat()] {
 			t.Fatalf("excluded config %v returned", c.Index)

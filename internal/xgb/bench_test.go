@@ -46,25 +46,10 @@ func BenchmarkXGBTrain(b *testing.B) {
 	}
 }
 
-// BenchmarkXGBPredictBatch scores an SA candidate pool through a trained
-// ensemble.
-func BenchmarkXGBPredictBatch(b *testing.B) {
-	X, y := benchData(512, 12, 2)
-	m, err := Train(X, y, benchParams())
-	if err != nil {
-		b.Fatal(err)
-	}
-	pool, _ := benchData(2048, 12, 3)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.PredictBatch(pool)
-	}
-}
-
-// BenchmarkCompiledPredictBatch scores the same pool through the flat SoA
-// layout — the apples-to-apples comparison against BenchmarkXGBPredictBatch.
-func BenchmarkCompiledPredictBatch(b *testing.B) {
+// BenchmarkCompiledPredictPairs walks every (tree, row) pair of an SA
+// candidate pool through the packed-pair path kernel over pre-flattened
+// rows — the form the SA delta objective feeds.
+func BenchmarkCompiledPredictPairs(b *testing.B) {
 	X, y := benchData(512, 12, 2)
 	m, err := Train(X, y, benchParams())
 	if err != nil {
@@ -72,32 +57,20 @@ func BenchmarkCompiledPredictBatch(b *testing.B) {
 	}
 	c := m.Compile()
 	pool, _ := benchData(2048, 12, 3)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.PredictBatch(pool)
-	}
-}
-
-// BenchmarkCompiledPredictRows drops the [][]float64 packing overhead and
-// measures the pure SoA tile walk over pre-flattened rows — the form the SA
-// delta objective feeds.
-func BenchmarkCompiledPredictRows(b *testing.B) {
-	X, y := benchData(512, 12, 2)
-	m, err := Train(X, y, benchParams())
-	if err != nil {
-		b.Fatal(err)
-	}
-	c := m.Compile()
-	pool, _ := benchData(2048, 12, 3)
-	flat := make([]float64, len(pool)*c.NumFeatures())
+	dim := c.NumFeatures()
+	flat := make([]float64, len(pool)*dim)
+	items := make([]int64, 0, len(pool)*c.NumTrees())
 	for i, row := range pool {
-		copy(flat[i*c.NumFeatures():], row)
+		copy(flat[i*dim:], row)
+		for t := 0; t < c.NumTrees(); t++ {
+			items = append(items, PackPair(int32(t), i*dim))
+		}
 	}
-	out := make([]float64, len(pool))
+	vals := make([]float64, len(items))
+	masks := make([]uint64, len(items))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.PredictRows(flat, out)
+		c.PredictPairsPath(items, flat, vals, masks)
 	}
 }

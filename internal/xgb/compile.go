@@ -12,16 +12,7 @@ package xgb
 import (
 	"fmt"
 	"sync"
-
-	"repro/internal/par"
 )
-
-// compiledTile is the row-tile width of the blocked batch walk: all trees
-// are advanced over one tile of rows before the next tile is touched, so
-// per-tree metadata (offsets, depths) and the tile's traversal state stay
-// in cache. Fixed (never derived from worker count) so parallel batch
-// decomposition is worker-invariant.
-const compiledTile = 64
 
 // CompiledModel is a Model flattened into contiguous per-node arrays:
 // feature index, threshold, left/right child, and leaf value, with tree t
@@ -359,143 +350,4 @@ func (c *CompiledModel) predictTreeIdx(t int, x []float64) float64 {
 		i = next
 	}
 	return c.value[i]
-}
-
-// PredictRows scores flat row-major feature rows: rows holds
-// len(out) x NumFeatures() values, out[i] receives the prediction of row i.
-func (c *CompiledModel) PredictRows(rows []float64, out []float64) {
-	c.predictRows(rows, out, nil)
-}
-
-// PredictRowsTrees is PredictRows with the per-tree leaf contributions
-// exposed: treeVals is len(out) x NumTrees() row-major and receives tree
-// t's addend for row i at treeVals[i*NumTrees()+t]. out[i] equals
-// Base() + the row's treeVals summed in tree order (the exact Predict sum).
-func (c *CompiledModel) PredictRowsTrees(rows []float64, out, treeVals []float64) {
-	c.predictRows(rows, out, treeVals)
-}
-
-func (c *CompiledModel) predictRows(rows []float64, out, treeVals []float64) {
-	n := len(out)
-	if len(rows) != n*c.nfeat {
-		//lint:ignore panicpath model invariant: row-matrix shape mismatch is a caller bug, not a runtime condition
-		panic(fmt.Sprintf("xgb: PredictRows with %d values for %d rows of %d features", len(rows), n, c.nfeat))
-	}
-	for lo := 0; lo < n; lo += compiledTile {
-		hi := lo + compiledTile
-		if hi > n {
-			hi = n
-		}
-		var tv []float64
-		if treeVals != nil {
-			tv = treeVals[lo*c.ntrees : hi*c.ntrees]
-		}
-		c.predictTile(rows[lo*c.nfeat:hi*c.nfeat], out[lo:hi], tv)
-	}
-}
-
-// predictTile advances every tree over one tile of rows: per tree, all rows
-// step down in lockstep for the tree's depth, then the leaf values fold
-// into the per-row accumulators. Summation order per row is base + tree 0 +
-// tree 1 + ... — identical to the pointer predictor.
-func (c *CompiledModel) predictTile(rows []float64, out, treeVals []float64) {
-	nr := len(out)
-	dim := c.nfeat
-	var idx [compiledTile]int32
-	for r := range out {
-		out[r] = c.base
-	}
-	nodes, value := c.nodes, c.value
-	for t := 0; t < c.ntrees; t++ {
-		root := c.off[t]
-		steps := int(c.steps[t])
-		tidx := idx[:nr]
-		for r := range tidx {
-			tidx[r] = root
-		}
-		for d := 0; d < steps; d++ {
-			off := 0
-			for r := range tidx {
-				nd := nodes[tidx[r]]
-				// Branchless select (a conditional move between the two
-				// already-loaded children): split directions are ~random on
-				// real data, so a data-dependent branch here mispredicts
-				// about half the time and serializes the whole tile. NaN
-				// features fail the <= and keep the right child, exactly
-				// like the pointer walker.
-				next := nd.right
-				if rows[off+int(nd.feat)] <= nd.thresh {
-					next = nd.left
-				}
-				tidx[r] = next
-				off += dim
-			}
-		}
-		if treeVals != nil {
-			for r := 0; r < nr; r++ {
-				v := value[idx[r]]
-				treeVals[r*c.ntrees+t] = v
-				out[r] += v
-			}
-		} else {
-			for r := 0; r < nr; r++ {
-				out[r] += value[idx[r]]
-			}
-		}
-	}
-}
-
-// PredictBatch evaluates the compiled ensemble on each row of X,
-// bit-identical to Model.PredictBatch.
-func (c *CompiledModel) PredictBatch(X [][]float64) []float64 {
-	return c.PredictBatchParallel(X, par.Workers())
-}
-
-// PredictBatchParallel is PredictBatch sharded over fixed-size row blocks
-// (the same xgbRowBlock decomposition as the pointer model), each block
-// scored through the tiled SoA walk. Each output element depends only on
-// its own row, so the result is bit-identical for any worker count.
-func (c *CompiledModel) PredictBatchParallel(X [][]float64, workers int) []float64 {
-	n := len(X)
-	out := make([]float64, n)
-	if n == 0 {
-		return out
-	}
-	if n*c.ntrees < xgbParallelMinWork {
-		workers = 1
-	}
-	blocks := (n + xgbRowBlock - 1) / xgbRowBlock
-	par.For(blocks, workers, func(bk int) {
-		lo, hi := bk*xgbRowBlock, (bk+1)*xgbRowBlock
-		if hi > n {
-			hi = n
-		}
-		// Pack the block's rows into a flat tile buffer and run the blocked
-		// walk over it.
-		buf := make([]float64, (hi-lo)*c.nfeat)
-		for i := lo; i < hi; i++ {
-			copy(buf[(i-lo)*c.nfeat:(i-lo+1)*c.nfeat], X[i])
-		}
-		c.predictRows(buf, out[lo:hi], nil)
-	})
-	return out
-}
-
-// compiledSanity is referenced by the fuzz target to keep malformed inputs
-// from tripping the fixed-step walk: it verifies the self-loop invariant of
-// every leaf and that internal children stay inside the tree's range.
-func (c *CompiledModel) compiledSanity() error {
-	for t := 0; t < c.ntrees; t++ {
-		lo, hi := c.off[t], c.off[t+1]
-		for i := lo; i < hi; i++ {
-			nd := c.nodes[i]
-			if nd.left < lo || nd.left >= hi || nd.right < lo || nd.right >= hi {
-				return fmt.Errorf("tree %d node %d: child out of range", t, i-lo)
-			}
-			if (nd.left == i) != (nd.right == i) {
-				return fmt.Errorf("tree %d node %d: half self-loop", t, i-lo)
-			}
-		}
-	}
-	return nil
 }

@@ -32,9 +32,9 @@ func trainRandom(t *testing.T, seed int64, mut func(*Params)) (*Model, [][]float
 
 // TestCompiledMatchesPointer is the differential contract of the SoA
 // compiler: over randomized ensembles (depths, bins, subsampling, rank
-// objective), every compiled prediction — single-row, per-tree, flat-row
-// batch, and [][]float64 batch — must be bit-identical to the pointer-tree
-// predictor.
+// objective), every compiled prediction — single-row, per-tree, per-tree
+// path walk and packed-pair walk — must be bit-identical to the
+// pointer-tree predictor.
 func TestCompiledMatchesPointer(t *testing.T) {
 	muts := []func(*Params){
 		nil,
@@ -58,38 +58,35 @@ func TestCompiledMatchesPointer(t *testing.T) {
 
 func assertCompiledMatches(t *testing.T, m *Model, c *CompiledModel, pool [][]float64) {
 	t.Helper()
-	want := m.PredictBatch(pool)
-	got := c.PredictBatch(pool)
+	want := predictAll(m, pool)
 	dim := m.NumFeatures()
 	flat := make([]float64, len(pool)*dim)
+	items := make([]int64, 0, len(pool)*c.NumTrees())
 	for i, row := range pool {
 		copy(flat[i*dim:(i+1)*dim], row)
+		for tr := 0; tr < c.NumTrees(); tr++ {
+			items = append(items, PackPair(int32(tr), i*dim))
+		}
 	}
-	outRows := make([]float64, len(pool))
-	c.PredictRows(flat, outRows)
-	treeVals := make([]float64, len(pool)*c.NumTrees())
-	outTrees := make([]float64, len(pool))
-	c.PredictRowsTrees(flat, outTrees, treeVals)
+	vals := make([]float64, len(items))
+	masks := make([]uint64, len(items))
+	c.PredictPairsPath(items, flat, vals, masks)
 	for i, row := range pool {
 		if math.Float64bits(want[i]) != math.Float64bits(c.Predict(row)) {
 			t.Fatalf("row %d: Predict differs from pointer model", i)
 		}
-		if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
-			t.Fatalf("row %d: PredictBatch differs from pointer model", i)
-		}
-		if math.Float64bits(want[i]) != math.Float64bits(outRows[i]) {
-			t.Fatalf("row %d: PredictRows differs from pointer model", i)
-		}
-		if math.Float64bits(want[i]) != math.Float64bits(outTrees[i]) {
-			t.Fatalf("row %d: PredictRowsTrees sum differs from pointer model", i)
-		}
-		// Per-tree contributions must rebuild the exact sum and match
-		// PredictTree.
+		// Per-tree contributions must rebuild the exact sum, and every
+		// per-tree walk form must return the same leaf.
 		s := c.Base()
 		for tr := 0; tr < c.NumTrees(); tr++ {
-			v := treeVals[i*c.NumTrees()+tr]
-			if math.Float64bits(v) != math.Float64bits(c.PredictTree(tr, row)) {
-				t.Fatalf("row %d tree %d: PredictTree differs from batch contribution", i, tr)
+			v := c.PredictTree(tr, row)
+			pv, pm := c.PredictTreePath(tr, row)
+			if math.Float64bits(pv) != math.Float64bits(v) {
+				t.Fatalf("row %d tree %d: PredictTreePath differs from PredictTree", i, tr)
+			}
+			j := i*c.NumTrees() + tr
+			if math.Float64bits(vals[j]) != math.Float64bits(v) || masks[j] != pm {
+				t.Fatalf("row %d tree %d: PredictPairsPath differs from PredictTreePath", i, tr)
 			}
 			s += v
 		}
@@ -150,13 +147,8 @@ func TestCompiledEmptyEnsemble(t *testing.T) {
 	if got := c.Predict(x); got != 1.5 {
 		t.Fatalf("empty ensemble predicts %v, want base 1.5", got)
 	}
-	out := make([]float64, 2)
-	c.PredictRows([]float64{0, 1, 2, 3, 4, 5}, out)
-	if out[0] != 1.5 || out[1] != 1.5 {
-		t.Fatalf("empty ensemble PredictRows = %v, want base", out)
-	}
-	if got := c.PredictBatch(nil); len(got) != 0 {
-		t.Fatalf("PredictBatch(nil) returned %d values", len(got))
+	if c.NumTrees() != 0 {
+		t.Fatalf("empty ensemble compiled to %d trees", c.NumTrees())
 	}
 }
 
@@ -327,24 +319,6 @@ func TestCompiledTreeSplits(t *testing.T) {
 				if _, ok := splits[ord]; !ok {
 					t.Fatalf("tree %d: path visits ordinal %d but TreeSplits never reported it", tr, ord)
 				}
-			}
-		}
-	}
-}
-
-// TestCompiledPredictBatchParallelInvariance: the blocked parallel batch
-// walk must be bit-identical for any worker count (it rides the
-// determinism suite regex).
-func TestCompiledPredictBatchParallelInvariance(t *testing.T) {
-	m, _ := trainRandom(t, 21, nil)
-	c := m.Compile()
-	pool, _ := benchData(4*xgbRowBlock+17, m.NumFeatures(), 22)
-	ref := c.PredictBatchParallel(pool, 1)
-	for _, workers := range []int{4, 8} {
-		got := c.PredictBatchParallel(pool, workers)
-		for i := range ref {
-			if math.Float64bits(ref[i]) != math.Float64bits(got[i]) {
-				t.Fatalf("workers=%d row %d: parallel batch differs from serial", workers, i)
 			}
 		}
 	}

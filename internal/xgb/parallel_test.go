@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// trainPreds trains with the given worker count and returns the batch
+// trainPreds trains with the given worker count and returns the
 // predictions over the training rows.
 func trainPreds(t *testing.T, X [][]float64, y []float64, p Params, workers int) (*Model, []float64) {
 	t.Helper()
@@ -14,7 +14,7 @@ func trainPreds(t *testing.T, X [][]float64, y []float64, p Params, workers int)
 	if err != nil {
 		t.Fatalf("Train(workers=%d): %v", workers, err)
 	}
-	return m, m.PredictBatchParallel(X, 1)
+	return m, predictAll(m, X)
 }
 
 // TestXGBTrainWorkerCountInvariance pins the bit-identity contract of the
@@ -79,31 +79,6 @@ func TestXGBLeafDeltaMatchesPredict(t *testing.T) {
 		want := tr.predict(X[i])
 		if math.Float64bits(ws.leaf[i]) != math.Float64bits(want) {
 			t.Fatalf("row %d: leaf delta %x, predict %x", i, math.Float64bits(ws.leaf[i]), math.Float64bits(want))
-		}
-	}
-}
-
-// TestXGBPredictBatchWorkerCountInvariance checks that the sharded batch
-// prediction matches per-row Predict bit-for-bit for every worker count.
-func TestXGBPredictBatchWorkerCountInvariance(t *testing.T) {
-	X, y := benchData(600, 9, 3)
-	p := DefaultParams()
-	p.NumRounds = 10
-	m, err := Train(X, y, p)
-	if err != nil {
-		t.Fatalf("Train: %v", err)
-	}
-	ref := make([]float64, len(X))
-	for i, x := range X {
-		ref[i] = m.Predict(x)
-	}
-	for _, workers := range []int{1, 4, 8} {
-		got := m.PredictBatchParallel(X, workers)
-		for i := range ref {
-			if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
-				t.Fatalf("workers=%d: out[%d]=%x, want %x",
-					workers, i, math.Float64bits(got[i]), math.Float64bits(ref[i]))
-			}
 		}
 	}
 }

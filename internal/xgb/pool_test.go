@@ -73,7 +73,7 @@ func TestCompilePooledRoundTrip(t *testing.T) {
 	nilCM.Release()
 	for seed := int64(0); seed < 3; seed++ {
 		m, pool := trainRandom(t, 700+seed, nil)
-		want := m.PredictBatch(pool)
+		want := predictAll(m, pool)
 		for cycle := 0; cycle < 3; cycle++ {
 			c := m.CompilePooled()
 			for i, row := range pool {

@@ -157,33 +157,6 @@ func (m *Model) Predict(x []float64) float64 {
 	return s
 }
 
-// PredictBatch evaluates the ensemble on each row of X.
-func (m *Model) PredictBatch(X [][]float64) []float64 {
-	return m.PredictBatchParallel(X, par.Workers())
-}
-
-// PredictBatchParallel is PredictBatch sharded over fixed-size row blocks.
-// Each output element depends only on its own row, so the result is
-// bit-identical for any worker count.
-func (m *Model) PredictBatchParallel(X [][]float64, workers int) []float64 {
-	out := make([]float64, len(X))
-	n := len(X)
-	if n*len(m.trees) < xgbParallelMinWork {
-		workers = 1
-	}
-	blocks := (n + xgbRowBlock - 1) / xgbRowBlock
-	par.For(blocks, workers, func(bk int) {
-		lo, hi := bk*xgbRowBlock, (bk+1)*xgbRowBlock
-		if hi > n {
-			hi = n
-		}
-		for i := lo; i < hi; i++ {
-			out[i] = m.Predict(X[i])
-		}
-	})
-	return out
-}
-
 // Train fits a boosted ensemble to (X, y) with squared-error loss.
 func Train(X [][]float64, y []float64, p Params) (*Model, error) {
 	if err := p.validate(); err != nil {

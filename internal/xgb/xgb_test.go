@@ -27,6 +27,15 @@ func makeRegression(n, nfeat int, noise float64, seed int64) ([][]float64, []flo
 	return X, y
 }
 
+// predictAll scores every row of X with the pointer-tree predictor.
+func predictAll(m *Model, X [][]float64) []float64 {
+	out := make([]float64, len(X))
+	for i, x := range X {
+		out[i] = m.Predict(x)
+	}
+	return out
+}
+
 func mse(pred, y []float64) float64 {
 	s := 0.0
 	for i := range y {
@@ -55,13 +64,13 @@ func TestTrainLearnsNonlinearFunction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trainMSE := mse(m.PredictBatch(X), y)
+	trainMSE := mse(predictAll(m, X), y)
 	if trainMSE > 0.1*variance(y) {
 		t.Fatalf("train MSE %.4f too high (var %.4f)", trainMSE, variance(y))
 	}
 	// Generalization on a fresh draw of the same function.
 	XT, yT := makeRegression(400, 6, 0.05, 2)
-	testMSE := mse(m.PredictBatch(XT), yT)
+	testMSE := mse(predictAll(m, XT), yT)
 	if testMSE > 0.3*variance(yT) {
 		t.Fatalf("test MSE %.4f too high (var %.4f)", testMSE, variance(yT))
 	}
@@ -77,7 +86,7 @@ func TestTrainConstantTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range m.PredictBatch(X) {
+	for _, p := range predictAll(m, X) {
 		if math.Abs(p-7.5) > 1e-6 {
 			t.Fatalf("constant target predicted as %v", p)
 		}
@@ -203,7 +212,7 @@ func TestMoreRoundsReduceTrainError(t *testing.T) {
 	m5, _ := Train(X, y, p)
 	p.NumRounds = 60
 	m60, _ := Train(X, y, p)
-	if mse(m60.PredictBatch(X), y) >= mse(m5.PredictBatch(X), y) {
+	if mse(predictAll(m60, X), y) >= mse(predictAll(m5, X), y) {
 		t.Fatal("more boosting rounds should fit train data better")
 	}
 	if m60.NumTrees() != 60 || m5.NumTrees() != 5 {
