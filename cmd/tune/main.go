@@ -30,13 +30,14 @@
 // seed, budget shape); mismatches fail loudly. The record log, when also
 // given, is rewound to the checkpoint's position and extended in place.
 //
-// Within a model, -task-concurrency hands the task list to the graph
-// scheduler: 1 (the default) is the classic sequential pipeline, higher
-// values tune tasks concurrently in deterministic rounds with identical
-// results for every concurrency value. -budget-policy picks how the
-// scheduler spends the measurement budget (uniform per task, or adaptive
-// reallocation toward the tasks still improving), and -dry-run prints the
-// planned round/budget schedule without measuring anything.
+// Within a model, -task-concurrency picks the graph scheduler's task
+// order: 1 (the default) grants one task per round, the classic sequential
+// pipeline; higher values tune tasks concurrently in deterministic rounds
+// with identical results for every concurrency value. -budget-policy picks
+// how the scheduler spends the measurement budget (uniform per task, or
+// adaptive reallocation toward the tasks still improving), and -dry-run
+// prints the planned round/budget schedule, in the same task order,
+// without measuring anything.
 //
 // Tuners: autotvm | bted | bted+bao | random | grid | ga | chameleon.
 package main

@@ -66,19 +66,22 @@ type PipelineOptions struct {
 	// each task). This is the streaming path cmd/tune uses to keep its
 	// record log crash-safe instead of flattening Records() at the end.
 	OnRecord func(record.Record)
-	// Progress, when non-nil, is called once per task before it can start
-	// tuning (in task order).
+	// Progress, when non-nil, is called once per task when the scheduler
+	// starts it, before its first step (in task order).
 	Progress func(taskIdx, taskTotal int, name string)
 	// OnTaskDone, when non-nil, receives a completion event per task:
 	// outcome, wall clock spent tuning, measurement count, and the deployed
-	// configuration. With TaskConcurrency 1 it fires right after each task;
-	// at higher concurrency, at the scheduler's next round boundary, always
-	// in task-index order within a boundary.
+	// configuration. It fires at the scheduler round boundary after the
+	// task's last step, in task-index order within a boundary: with
+	// TaskConcurrency 1 that is right after the task, before the next one
+	// starts.
 	OnTaskDone func(TaskEvent)
 	// TaskConcurrency is how many tasks the graph scheduler tunes
-	// concurrently. 1 (or 0) selects the classic sequential pipeline,
-	// bit-identical to previous releases including live transfer-learning
-	// chaining. Values > 1 interleave tasks in deterministic rounds;
+	// concurrently. 1 (or 0) with the uniform policy selects the
+	// scheduler's sequential task order — one task granted per round, the
+	// classic pipeline bit-identical to previous releases including live
+	// transfer-learning chaining. Values > 1 select the round order and
+	// interleave tasks in deterministic rounds;
 	// results are then identical for every concurrency value and worker
 	// count, with transfer history snapshotted at round boundaries.
 	// Unseeded backends always execute one task at a time.
@@ -196,10 +199,12 @@ func OptimizeModel(ctx context.Context, model string, tn tuner.Tuner, b backend.
 }
 
 // OptimizeGraph is OptimizeModel over an already-built graph. The per-task
-// tuning is delegated to the deterministic graph scheduler (internal/sched):
-// TaskConcurrency 1 with the uniform policy runs the classic sequential
-// pipeline bit-identically; higher concurrency interleaves tasks in rounds
-// without changing any task's measurements.
+// tuning is delegated to the deterministic graph scheduler (internal/sched),
+// whose one round driver runs the task order the options select:
+// TaskConcurrency 1 with the uniform policy grants one task per round,
+// reproducing the classic sequential pipeline bit-identically; higher
+// concurrency interleaves tasks in rounds without changing any task's
+// measurements.
 func OptimizeGraph(ctx context.Context, g *graph.Graph, tn tuner.Tuner, b backend.Backend, opts PipelineOptions) (*Deployment, error) {
 	if opts.Runs <= 0 {
 		opts.Runs = 600

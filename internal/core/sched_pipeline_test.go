@@ -104,7 +104,7 @@ func TestPipelineGolden(t *testing.T) {
 	}
 }
 
-// TestPipelineConcurrencyInvariance: with the round driver engaged
+// TestPipelineConcurrencyInvariance: with the round order engaged
 // (TaskConcurrency > 1), the deployment is identical for every concurrency
 // value — transfer snapshots at round boundaries make the interleaving
 // invisible.
@@ -128,12 +128,12 @@ func TestPipelineConcurrencyInvariance(t *testing.T) {
 		}
 	}
 	if ref.TotalMeasurements != goldenPipelineMeas {
-		t.Fatalf("round driver measurements = %d, want %d", ref.TotalMeasurements, goldenPipelineMeas)
+		t.Fatalf("round order measurements = %d, want %d", ref.TotalMeasurements, goldenPipelineMeas)
 	}
 }
 
 // TestPipelineAdaptiveInvariance: the adaptive policy always routes through
-// the round driver, so its deployments are identical across the whole
+// the round order, so its deployments are identical across the whole
 // concurrency range including 1.
 func TestPipelineAdaptiveInvariance(t *testing.T) {
 	var refHash uint64

@@ -72,7 +72,7 @@ type Spec struct {
 	// Sample streams are Workers-invariant, so this is pure throughput.
 	Workers int `json:"workers,omitempty"`
 	// TaskConcurrency is how many tasks the graph scheduler tunes
-	// concurrently (1: classic sequential pipeline).
+	// concurrently (1: the sequential task order, the classic pipeline).
 	TaskConcurrency int `json:"task_concurrency,omitempty"`
 	// BudgetPolicy is the scheduler budget policy: uniform | adaptive.
 	BudgetPolicy string `json:"budget_policy,omitempty"`

@@ -14,31 +14,34 @@ import (
 // at field semantics.
 const CheckpointVersion = 1
 
-// Driver names stamped into checkpoints. A checkpoint can only resume under
-// the driver that wrote it: the two drivers interleave transfer publication
-// and stepping differently, so continuing a sequential run under the round
-// driver (or vice versa) would not be the same run.
+// Driver names stamped into checkpoints: the task order that wrote them
+// (the names predate the single driver and are kept for compatibility). A
+// checkpoint can only resume under the order that wrote it: the two orders
+// interleave transfer publication and stepping differently, so continuing a
+// sequential run in the round order (or vice versa) would not be the same
+// run.
 const (
 	DriverSequential = "sequential"
 	DriverRounds     = "rounds"
 )
 
 // Checkpoint is the complete serializable state of a scheduler run at a
-// round boundary (for the sequential driver: a step or finalization
-// boundary). It deliberately excludes the ambient run inputs — specs,
+// round boundary. It deliberately excludes the ambient run inputs — specs,
 // backend, policy, concurrency — which the resuming caller must supply
-// exactly as it did originally; the checkpoint carries the driver name and
+// exactly as it did originally; the checkpoint carries the task order and
 // the task list so mismatches fail loudly instead of silently diverging.
 //
 // Everything else a resumed run needs is either in here or derivable:
 //
 //   - Live sessions ride as tuner.SessionState snapshots and are rebuilt
-//     via tuner.Opener.Restore.
+//     via tuner.Opener.Restore before the first boundary.
 //   - Finalized tasks ride as OutcomeState; their transfer publications are
-//     replayed into the caller's (fresh) master history in Published order,
-//     and the round driver's per-task views are re-cloned from the rebuilt
-//     master — the next boundary refreshes them exactly as the original
-//     run's boundary did.
+//     replayed into the caller's (fresh) master history in Published order.
+//     Restored sessions read the rebuilt master (round order: a clone of
+//     it), which holds what the original sessions read after the last
+//     refresh.
+//   - Tasks that had not started carry neither and start at their first
+//     grant, as they would have.
 //   - The budget policy's inputs (previous-boundary measured counts and
 //     bests) are stored per task; both in-repo policies are otherwise
 //     stateless, which the Policy contract requires of every implementation.
@@ -50,9 +53,11 @@ type Checkpoint struct {
 	Version int    `json:"version"`
 	Driver  string `json:"driver"`
 	// Round is the boundary the checkpoint was captured at: the resumed run
-	// re-enters its driver loop there, so policies that read the round
-	// number see the same sequence. For the sequential driver it is the
-	// index of the task being (or about to be) stepped.
+	// re-enters its loop there, so policies that read the round number see
+	// the same sequence. (Checkpoints written before the sequential order
+	// ran inside the round driver store the live task's index here; the
+	// sequential allocation ignores the round number, so they resume
+	// unchanged.)
 	Round int `json:"round"`
 	// Published lists the indices of tasks that have published their
 	// samples to the master transfer history, in publication order. Resume
@@ -62,9 +67,9 @@ type Checkpoint struct {
 	Tasks []TaskCheckpoint `json:"tasks"`
 }
 
-// TaskCheckpoint is one task's slice of a Checkpoint. Exactly one of
-// Session (live task) and Outcome (finalized task) is set; both are nil for
-// a sequential-driver task that has not started yet.
+// TaskCheckpoint is one task's slice of a Checkpoint. At most one of
+// Session (started task) and Outcome (finalized task) is set; both are nil
+// for a task that has not started yet, in either task order.
 type TaskCheckpoint struct {
 	Index int    `json:"index"`
 	Name  string `json:"name"`
@@ -154,16 +159,17 @@ func (tc *TaskCheckpoint) restoreOutcome(task *tuner.Task) (Outcome, error) {
 }
 
 // validate checks a checkpoint against the resuming run's inputs: same
-// schema version, same driver (the caller must resume with the same
-// concurrency and policy selection), and the same task list in the same
-// order. Per-session mismatches — seed, tuner name, snapshot schema — are
-// caught downstream by tuner.Opener.Restore.
+// schema version, same task order (the caller must resume with the same
+// concurrency and policy selection), the same task list in the same order,
+// and no task that stepped without leaving a session or an outcome.
+// Per-session mismatches — seed, tuner name, snapshot schema — are caught
+// downstream by tuner.Opener.Restore.
 func (cp *Checkpoint) validate(driver string, specs []Spec) error {
 	if cp.Version != CheckpointVersion {
 		return fmt.Errorf("sched: resume: checkpoint version %d, want %d", cp.Version, CheckpointVersion)
 	}
 	if cp.Driver != driver {
-		return fmt.Errorf("sched: resume: checkpoint from the %s driver, but the options select the %s driver (resume with the original concurrency and policy)", cp.Driver, driver)
+		return fmt.Errorf("sched: resume: checkpoint from the %s task order, but the options select the %s order (resume with the original concurrency and policy)", cp.Driver, driver)
 	}
 	if len(cp.Tasks) != len(specs) {
 		return fmt.Errorf("sched: resume: checkpoint has %d tasks, run has %d", len(cp.Tasks), len(specs))
@@ -172,8 +178,37 @@ func (cp *Checkpoint) validate(driver string, specs []Spec) error {
 		if tc.Index != i || tc.Name != specs[i].Task.Name {
 			return fmt.Errorf("sched: resume: checkpoint task %d is %q, run has %q", i, tc.Name, specs[i].Task.Name)
 		}
+		if tc.Rounds > 0 && tc.Session == nil && tc.Outcome == nil {
+			return fmt.Errorf("sched: resume: task %s stepped %d rounds but has no session snapshot", tc.Name, tc.Rounds)
+		}
 	}
 	return nil
+}
+
+// checkpoint captures the run at a round boundary: finalized tasks as
+// outcomes, started ones as session snapshots, unstarted ones as bare
+// entries.
+func (s *schedule) checkpoint(round int, runs []taskRun, outs []Outcome, published []int) (*Checkpoint, error) {
+	cp := &Checkpoint{Version: CheckpointVersion, Driver: s.driver, Round: round,
+		Published: append([]int(nil), published...), Tasks: make([]TaskCheckpoint, len(runs))}
+	for i := range runs {
+		tr, st := &runs[i], s.states[i]
+		tc := TaskCheckpoint{Index: i, Name: tr.spec.Task.Name, Rounds: tr.rounds,
+			ElapsedNS: int64(tr.elapsed), PrevMeasured: st.PrevMeasured, PrevBest: st.PrevBest}
+		switch {
+		case st.Done:
+			o := outcomeState(outs[i])
+			tc.Outcome = &o
+		case tr.sess != nil:
+			snap, err := snapshotSession(tr.sess, tr.spec.Task.Name, i)
+			if err != nil {
+				return nil, err
+			}
+			tc.Session = snap
+		}
+		cp.Tasks[i] = tc
+	}
+	return cp, nil
 }
 
 // snapshotSession captures one live session, failing with a TaskError when

@@ -54,7 +54,7 @@ func runCollectingCheckpoints(t *testing.T, tn tuner.Opener, seed int64, specs [
 
 // TestCheckpointRestoreGridInvariance is the scheduler half of the tentpole
 // contract: for every Workers x TaskConcurrency combination — spanning the
-// sequential and round drivers — a run checkpointed at every boundary,
+// sequential and round task orders — a run checkpointed at every boundary,
 // killed, and resumed from any of those checkpoints (after a trip through
 // the serialized form) finishes with outcomes bit-identical to the
 // uninterrupted run.
@@ -101,7 +101,7 @@ func TestCheckpointRestoreGridInvariance(t *testing.T) {
 // transfer views: a warm-started model-based run is resumed from a mid-run
 // checkpoint into fresh (empty) histories, which resume must repopulate so
 // the continuation's warm starts — and therefore its samples — stay
-// bit-identical. Both drivers are exercised.
+// bit-identical. Both task orders are exercised.
 func TestCheckpointRestoreTransferChain(t *testing.T) {
 	tasks := schedTasks(t)
 	tn := tuner.NewAutoTVM()
@@ -124,6 +124,67 @@ func TestCheckpointRestoreTransferChain(t *testing.T) {
 				t.Fatalf("conc=%d checkpoint %d: resumed outcomes differ", conc, k)
 			}
 		}
+	}
+}
+
+// legacySequentialShape rewrites a sequential-order checkpoint into the
+// shape the former dedicated sequential driver wrote: Round is the index of
+// the live (or next) task, finalized tasks report one round and their
+// measurement count as PrevMeasured, and the live task carries only its
+// session and elapsed time.
+func legacySequentialShape(cp *Checkpoint) *Checkpoint {
+	cp.Round = len(cp.Tasks)
+	for i := range cp.Tasks {
+		tc := &cp.Tasks[i]
+		tc.PrevBest = 0
+		if tc.Outcome != nil {
+			tc.Rounds, tc.PrevMeasured = 1, len(tc.Outcome.Samples)
+			continue
+		}
+		tc.Rounds, tc.PrevMeasured = 0, 0
+		cp.Round = min(cp.Round, i)
+	}
+	return cp
+}
+
+// TestCheckpointResumeSequentialLegacyShape: checkpoints in the former
+// sequential driver's shape — Round holding the live task's index, tasks
+// not yet started carrying neither a session nor an outcome — resume
+// bit-identically in the sequential task order, transfer chain included.
+func TestCheckpointResumeSequentialLegacyShape(t *testing.T) {
+	tasks := schedTasks(t)
+	tn := tuner.NewAutoTVM()
+	ref, cps := runCollectingCheckpoints(t, tn, 13,
+		specsFor(tasks, 32, 17, 2, transfer.NewHistory()), Options{})
+	unstarted, live := 0, 0
+	for k, cp := range cps {
+		legacy := legacySequentialShape(serializedCheckpoint(t, cp))
+		if legacy.Driver != DriverSequential {
+			t.Fatalf("checkpoint %d: driver %q", k, legacy.Driver)
+		}
+		for i, tc := range legacy.Tasks {
+			switch {
+			case tc.Session != nil:
+				live++
+				if i != legacy.Round {
+					t.Fatalf("checkpoint %d: live task %d, round %d", k, i, legacy.Round)
+				}
+			case tc.Outcome == nil:
+				unstarted++
+			}
+		}
+		got, err := Run(context.Background(), tn, schedBackend(t, 13),
+			specsFor(tasks, 32, 17, 2, transfer.NewHistory()),
+			Options{Resume: serializedCheckpoint(t, legacy)})
+		if err != nil {
+			t.Fatalf("checkpoint %d: resume: %v", k, err)
+		}
+		if !sameOutcomes(ref, got) {
+			t.Fatalf("checkpoint %d: resumed outcomes differ", k)
+		}
+	}
+	if unstarted == 0 || live == 0 {
+		t.Fatalf("checkpoints cover %d unstarted and %d live tasks, want both", unstarted, live)
 	}
 }
 
@@ -217,21 +278,28 @@ func TestCheckpointResumeValidation(t *testing.T) {
 	specs := specsFor(tasks, 24, 3, 1, nil)
 	_, cps := runCollectingCheckpoints(t, tn, 2, specs, Options{TaskConcurrency: 2})
 	cp := cps[0]
+	// cps[0] precedes every task's start; after the first round task 0 has
+	// stepped, so it must carry a session.
+	stepped := cps[1]
+	if stepped.Tasks[0].Rounds < 1 || stepped.Tasks[0].Session == nil {
+		t.Fatalf("second checkpoint: task 0 rounds=%d session=%v", stepped.Tasks[0].Rounds, stepped.Tasks[0].Session != nil)
+	}
 
 	fails := []struct {
 		name string
+		cp   *Checkpoint
 		mut  func(c *Checkpoint)
 		opts Options
 	}{
-		{"wrong driver", func(c *Checkpoint) {}, Options{TaskConcurrency: 1}},
-		{"wrong version", func(c *Checkpoint) { c.Version = 99 }, Options{TaskConcurrency: 2}},
-		{"task list mismatch", func(c *Checkpoint) { c.Tasks = c.Tasks[:1] }, Options{TaskConcurrency: 2}},
-		{"task name mismatch", func(c *Checkpoint) { c.Tasks[0].Name = "other" }, Options{TaskConcurrency: 2}},
-		{"missing session", func(c *Checkpoint) { c.Tasks[0].Session = nil }, Options{TaskConcurrency: 2}},
-		{"published unfinalized", func(c *Checkpoint) { c.Published = []int{0} }, Options{TaskConcurrency: 2}},
+		{"wrong driver", cp, func(c *Checkpoint) {}, Options{TaskConcurrency: 1}},
+		{"wrong version", cp, func(c *Checkpoint) { c.Version = 99 }, Options{TaskConcurrency: 2}},
+		{"task list mismatch", cp, func(c *Checkpoint) { c.Tasks = c.Tasks[:1] }, Options{TaskConcurrency: 2}},
+		{"task name mismatch", cp, func(c *Checkpoint) { c.Tasks[0].Name = "other" }, Options{TaskConcurrency: 2}},
+		{"missing session", stepped, func(c *Checkpoint) { c.Tasks[0].Session = nil }, Options{TaskConcurrency: 2}},
+		{"published unfinalized", cp, func(c *Checkpoint) { c.Published = []int{0} }, Options{TaskConcurrency: 2}},
 	}
 	for _, f := range fails {
-		bad := serializedCheckpoint(t, cp)
+		bad := serializedCheckpoint(t, f.cp)
 		f.mut(bad)
 		o := f.opts
 		o.Resume = bad

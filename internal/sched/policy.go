@@ -66,7 +66,9 @@ func PolicyByName(name string) (Policy, error) {
 
 // UniformPolicy reproduces the legacy pipeline's budget behaviour: every
 // task keeps its own budget and advances by one plan per round until it is
-// spent. With TaskConcurrency 1 this is exactly the pre-scheduler pipeline.
+// spent. With TaskConcurrency 1 the scheduler restricts it to one task at a
+// time (the sequential task order), which is exactly the pre-scheduler
+// pipeline.
 type UniformPolicy struct{}
 
 // Name implements Policy.
@@ -84,6 +86,27 @@ func (UniformPolicy) Allocate(_ int, states []TaskState) []int {
 		}
 	}
 	return out
+}
+
+// sequentialOrder is the uniform policy restricted to one task: each round
+// grants one plan to the lowest-index live task, whose session keeps its
+// own budget. It drives the sequential task order; its allocation buffer
+// is reused across rounds.
+type sequentialOrder struct {
+	UniformPolicy
+	out []int
+}
+
+// Allocate implements Policy.
+func (p *sequentialOrder) Allocate(_ int, states []TaskState) []int {
+	p.out = append(p.out[:0], make([]int, len(states))...)
+	for i, st := range states {
+		if !st.Done {
+			p.out[i] = st.PlanSize
+			break
+		}
+	}
+	return p.out
 }
 
 // AdaptivePolicy reallocates the remaining graph-wide budget each round

@@ -101,14 +101,15 @@ func specsForPreview(t *testing.T, budget, plan int) []Spec {
 
 func TestPlanPreviewUniform(t *testing.T) {
 	specs := specsForPreview(t, 24, 8)
-	plans := PlanPreview(specs, Options{})
+	// Round order: every task advances one plan per round.
+	plans := PlanPreview(specs, Options{TaskConcurrency: 2})
 	if len(plans) != 3 {
 		t.Fatalf("%d rounds, want 3 (24/8)", len(plans))
 	}
 	cum := map[int]int{}
 	for r, plan := range plans {
-		if plan.Round != r {
-			t.Fatalf("round numbering: %+v", plan)
+		if plan.Round != r || len(plan.Grants) != len(specs) {
+			t.Fatalf("round %d: %+v", r, plan)
 		}
 		for _, g := range plan.Grants {
 			if g.Grant != 8 {
@@ -123,6 +124,21 @@ func TestPlanPreviewUniform(t *testing.T) {
 	for i := range specs {
 		if cum[i] != 24 {
 			t.Fatalf("task %d planned %d, want 24", i, cum[i])
+		}
+	}
+
+	// Sequential order (the default concurrency): what Run executes is one
+	// grant per round, task after task — 3 tasks x 24/8 = 9 rounds.
+	plans = PlanPreview(specs, Options{})
+	if len(plans) != 9 {
+		t.Fatalf("sequential: %d rounds, want 9", len(plans))
+	}
+	for r, plan := range plans {
+		if plan.Round != r || len(plan.Grants) != 1 {
+			t.Fatalf("sequential round %d: %+v", r, plan)
+		}
+		if g := plan.Grants[0]; g.Index != r/3 || g.Grant != 8 || g.Cumulative != 8*(r%3+1) {
+			t.Fatalf("sequential round %d grant %+v, want task %d +8 (=%d)", r, g, r/3, 8*(r%3+1))
 		}
 	}
 }

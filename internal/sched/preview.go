@@ -20,115 +20,130 @@ type RoundPlan struct {
 
 // PlanPreview simulates the round/budget schedule the scheduler would run
 // for the specs under opts — without opening sessions or measuring anything
-// (cmd/tune -dry-run). The simulation mirrors the round driver's allocation
-// and capping exactly, with two stated idealizations: sessions are assumed
-// to hit their per-round goals exactly (a real batch may overshoot by a
-// partial plan), and early stopping is unpredictable and ignored. Because
-// no measurements exist, marginal gains are all zero, so the adaptive
-// policy follows its equal-weight fallback — the schedule it runs until
-// real gains differentiate the tasks.
-//
-// With TaskConcurrency <= 1 and the uniform policy the scheduler runs the
-// sequential driver; the preview then shows each task's rounds grouped the
-// same way the round driver would, which is also the order the sequential
-// driver spends the same budgets in.
+// (cmd/tune -dry-run). It selects the same task order as Run and computes
+// each round's grants with the driver's own allocation, with two stated
+// idealizations: sessions are assumed to hit their per-round goals exactly
+// (a real batch may overshoot by a partial plan), and early stopping is
+// unpredictable and ignored. Because no measurements exist, marginal gains
+// are all zero, so the adaptive policy follows its equal-weight fallback —
+// the schedule it runs until real gains differentiate the tasks.
 func PlanPreview(specs []Spec, opts Options) []RoundPlan {
 	if len(specs) == 0 {
 		return nil
 	}
-	policy := opts.Policy
-	if policy == nil {
-		policy = UniformPolicy{}
-	}
-	n := len(specs)
-	ownBudget := make([]int, n)
-	sessBudget := make([]int, n)
-	planSize := make([]int, n)
-	totalBudget := 0
-	for i, sp := range specs {
-		nopts := sp.Opts.Normalized()
-		ownBudget[i] = nopts.Budget
-		planSize[i] = nopts.PlanSize
-		totalBudget += nopts.Budget
-	}
-	for i := range specs {
-		sessBudget[i] = policy.SessionBudget(ownBudget[i], totalBudget)
-	}
-
-	measured := make([]int, n)
-	prev := make([]int, n)
-	done := make([]bool, n)
+	s := newSchedule(specs, opts)
 	var plans []RoundPlan
 	for round := 0; ; round++ {
-		totalMeasured := 0
-		for i := range specs {
-			totalMeasured += measured[i]
+		total := s.measured()
+		live := false
+		for i := range s.states {
+			st := &s.states[i]
+			st.Done = st.Done || s.exhausted(i, total)
+			live = live || !st.Done
 		}
-		budgetSpent := totalMeasured >= totalBudget
-		liveCount := 0
-		for i := range specs {
-			if done[i] {
-				continue
-			}
-			if measured[i] >= sessBudget[i] || budgetSpent {
-				done[i] = true
-				continue
-			}
-			liveCount++
-		}
-		if liveCount == 0 {
+		if !live {
 			return plans
 		}
-
-		states := make([]TaskState, n)
-		for i, sp := range specs {
-			states[i] = TaskState{
-				Index: i, Name: sp.Task.Name, Done: done[i],
-				Measured: measured[i], PrevMeasured: prev[i],
-				Budget: ownBudget[i], PlanSize: planSize[i],
-				Weight: sp.Task.Count,
-			}
-		}
-		grants := policy.Allocate(round, states)
 		plan := RoundPlan{Round: round}
-		remaining := totalBudget - totalMeasured
-		for i := range specs {
-			if done[i] {
-				continue
-			}
-			g := 0
-			if i < len(grants) {
-				g = grants[i]
-			}
-			g = min(g, sessBudget[i]-measured[i], remaining)
-			if g <= 0 {
-				continue
-			}
-			remaining -= g
-			measured[i] += g
+		for _, g := range s.allocate(round, total) {
+			st := &s.states[g.idx]
+			st.Measured += g.n
 			plan.Grants = append(plan.Grants, PlannedGrant{
-				Index: i, Name: specs[i].Task.Name, Grant: g, Cumulative: measured[i]})
-		}
-		if len(plan.Grants) == 0 {
-			// Mirror the scheduler's liveness guard: one plan per live task.
-			for i := range specs {
-				if done[i] {
-					continue
-				}
-				g := min(planSize[i], sessBudget[i]-measured[i])
-				if g < 1 {
-					g = 1
-				}
-				measured[i] += g
-				plan.Grants = append(plan.Grants, PlannedGrant{
-					Index: i, Name: specs[i].Task.Name, Grant: g, Cumulative: measured[i]})
-			}
-		}
-		for i := range specs {
-			if !done[i] {
-				prev[i] = states[i].Measured
-			}
+				Index: g.idx, Name: st.Name, Grant: g.n, Cumulative: st.Measured})
 		}
 		plans = append(plans, plan)
 	}
+}
+
+// schedule is the budget accounting Run and PlanPreview share: the task
+// order the options select, the policy's view of every task, and the
+// per-round grant computation.
+type schedule struct {
+	policy Policy
+	driver string // DriverSequential or DriverRounds: the task order
+	conc   int    // TaskConcurrency clamped to [1, len(specs)]
+	total  int    // graph-wide budget
+	caps   []int  // per-task session budgets
+	// states is the policy's view, index-aligned with the specs. The caller
+	// keeps Measured, Best and Done current at each boundary; allocate
+	// moves PrevMeasured and PrevBest.
+	states []TaskState
+	grants []grant // reused across rounds
+}
+
+// grant is n more measurements for task idx in the coming round.
+type grant struct{ idx, n int }
+
+func newSchedule(specs []Spec, opts Options) *schedule {
+	s := &schedule{policy: opts.Policy, driver: DriverRounds,
+		conc: min(max(opts.TaskConcurrency, 1), len(specs))}
+	if s.policy == nil {
+		s.policy = UniformPolicy{}
+	}
+	if _, uniform := s.policy.(UniformPolicy); uniform && s.conc == 1 {
+		s.policy, s.driver = &sequentialOrder{}, DriverSequential
+	}
+	s.states = make([]TaskState, len(specs))
+	for i, sp := range specs {
+		nopts := sp.Opts.Normalized()
+		s.states[i] = TaskState{Index: i, Name: sp.Task.Name,
+			Budget: nopts.Budget, PlanSize: nopts.PlanSize, Weight: sp.Task.Count}
+		s.total += nopts.Budget
+	}
+	s.caps = make([]int, len(specs))
+	for i, st := range s.states {
+		s.caps[i] = s.policy.SessionBudget(st.Budget, s.total)
+	}
+	return s
+}
+
+// measured is the graph-wide measurement count.
+func (s *schedule) measured() int {
+	n := 0
+	for _, st := range s.states {
+		n += st.Measured
+	}
+	return n
+}
+
+// exhausted reports whether task i must finalize at a boundary where total
+// measurements exist: its session reached its cap, or the graph-wide budget
+// is spent.
+func (s *schedule) exhausted(i, total int) bool {
+	return s.states[i].Measured >= s.caps[i] || total >= s.total
+}
+
+// allocate turns the policy's allocation for the coming round into grants,
+// in task-index order: each live task's grant is capped at its session
+// budget and at what is left of the graph-wide budget. When that leaves
+// nothing although tasks are live, every live task advances by one plan (at
+// least one measurement) so the run always terminates. The live tasks'
+// previous-boundary view then moves to the current one. The returned slice
+// is valid until the next call.
+func (s *schedule) allocate(round, total int) []grant {
+	alloc := s.policy.Allocate(round, s.states)
+	remaining := s.total - total
+	s.grants = s.grants[:0]
+	for i, st := range s.states {
+		if st.Done || i >= len(alloc) {
+			continue
+		}
+		if g := min(alloc[i], s.caps[i]-st.Measured, remaining); g > 0 {
+			remaining -= g
+			s.grants = append(s.grants, grant{i, g})
+		}
+	}
+	if len(s.grants) == 0 {
+		for i, st := range s.states {
+			if !st.Done {
+				s.grants = append(s.grants, grant{i, max(1, min(st.PlanSize, s.caps[i]-st.Measured))})
+			}
+		}
+	}
+	for i := range s.states {
+		if st := &s.states[i]; !st.Done {
+			st.PrevMeasured, st.PrevBest = st.Measured, st.Best
+		}
+	}
+	return s.grants
 }

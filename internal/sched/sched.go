@@ -1,9 +1,26 @@
-// Package sched is the deterministic graph-level scheduler that replaced
-// the pipeline's sequential per-task loop: it opens one resumable tuner
-// session per extracted task (tuner.Opener) and advances them in rounds,
-// fanning the per-round step work of up to TaskConcurrency tasks onto
-// worker goroutines while each session's planned batches still run on the
-// shared measurement pool.
+// Package sched is the deterministic graph-level scheduler: it runs one
+// resumable tuner session per extracted task (tuner.Opener) through a
+// single round driver. Each round a budget policy grants tasks
+// measurements, the granted tasks step — up to TaskConcurrency of them on
+// worker goroutines, while each session's planned batches still run on the
+// shared measurement pool — and a single-goroutine boundary finalizes
+// finished tasks, publishes their samples to the transfer history and
+// captures checkpoints.
+//
+// # Task orders
+//
+// The options select one of two task orders for that driver:
+//
+//   - Sequential order (TaskConcurrency <= 1 with the uniform policy): each
+//     round grants one plan to the lowest-index live task, so tasks tune one
+//     after another, each warm-starting from every earlier task's samples —
+//     the node-wise pipeline, bit-identical to the pre-scheduler one.
+//   - Round order (TaskConcurrency > 1, or the adaptive policy): every live
+//     task may be granted work each round, and the granted tasks step
+//     concurrently.
+//
+// A task starts at its first grant: OnTaskStart fires and its session
+// opens.
 //
 // # Determinism model
 //
@@ -18,19 +35,16 @@
 //     the sessions' measured counts and best values, which themselves are
 //     schedule-independent. TaskConcurrency therefore only changes how many
 //     tasks' step work runs in parallel, not what any task measures.
-//   - Transfer-learning history is snapshotted at round boundaries: every
-//     live task reads a per-task view refreshed from the master history
-//     after completed tasks publish to it in task-index order, so
-//     cross-task warm starts see the same history regardless of which
-//     goroutine finished first.
+//   - Completed tasks publish to the master transfer-learning history at
+//     round boundaries, in task-index order. In the round order every live
+//     task reads a per-task view of it, refreshed at the boundaries where
+//     it grew, so cross-task warm starts see the same history regardless
+//     of which goroutine finished first.
 //
 // Consequently outcomes are bit-identical across every Workers value and
-// every TaskConcurrency value for a given driver. TaskConcurrency 1 with
-// the uniform policy selects the classic sequential driver — task after
-// task with live transfer chaining, bit-identical to the pre-scheduler
-// pipeline — while TaskConcurrency > 1 (or the adaptive policy) uses the
-// round driver, whose transfer warm starts differ from the sequential
-// chain only in snapshot granularity.
+// every TaskConcurrency value for a given task order. The round order's
+// transfer warm starts differ from the sequential order's only in snapshot
+// granularity.
 //
 // Unseeded backends draw noise from one shared stream, so concurrent task
 // stepping would interleave it nondeterministically; the scheduler degrades
@@ -70,40 +84,40 @@ type Outcome struct {
 	Err error
 	// Elapsed is the wall clock spent stepping this task's session.
 	Elapsed time.Duration
-	// Rounds is how many scheduler rounds the task was stepped in (1 for
-	// the sequential driver).
+	// Rounds is how many scheduler rounds the task was stepped in, in
+	// either task order.
 	Rounds int
 }
 
 // Options configures a scheduler run.
 type Options struct {
 	// TaskConcurrency is how many tasks advance concurrently within a
-	// round. <= 1 selects the sequential driver (with the uniform policy:
-	// the exact legacy pipeline order). The value only controls execution
-	// parallelism — outcomes are identical for every value.
+	// round. <= 1 with the uniform policy selects the sequential task order
+	// (the exact legacy pipeline); anything else runs the round order. The
+	// value only controls execution parallelism within an order — outcomes
+	// are identical for every value above 1.
 	TaskConcurrency int
 	// Policy allocates the per-round measurement budget; nil means
 	// UniformPolicy.
 	Policy Policy
-	// TaskDeadline bounds each task's search wall clock (zero = none). In
-	// the round driver the deadline context starts at the task's first
-	// step.
+	// TaskDeadline bounds each task's search wall clock (zero = none). The
+	// deadline context starts at the task's first step.
 	TaskDeadline time.Duration
 	// OnTaskStart, when non-nil, is called once per task (1-based index)
-	// before its session can step: in spec order in both drivers.
+	// when the task starts, at its first grant: in spec order, and in the
+	// sequential order only after the previous task's OnTaskDone.
 	OnTaskStart func(taskIdx, taskTotal int, name string)
 	// OnTaskDone, when non-nil, receives each task's outcome the moment it
-	// is finalized: immediately after the task in the sequential driver, at
-	// the next round boundary (in task-index order) in the round driver.
-	// Both drivers invoke it from a single goroutine, never concurrently.
+	// is finalized, at the round boundary after its last step (in
+	// task-index order within a boundary). It is invoked from the driver
+	// goroutine, never concurrently.
 	OnTaskDone func(Outcome)
 	// OnCheckpoint, when non-nil, receives the run's serializable state at
-	// boundaries (see Checkpoint): round boundaries in the round driver,
-	// step and finalization boundaries in the sequential one. It is invoked
-	// from the driver goroutine, never concurrently with stepping, and the
-	// checkpoint is fully detached — the callback may serialize it at
-	// leisure. A session that cannot snapshot aborts the run with a
-	// *TaskError the first time a checkpoint is due.
+	// round boundaries (see Checkpoint). It is invoked from the driver
+	// goroutine, never concurrently with stepping, and the checkpoint is
+	// fully detached — the callback may serialize it at leisure. A session
+	// that cannot snapshot aborts the run with a *TaskError the first time
+	// a checkpoint is due.
 	OnCheckpoint func(*Checkpoint)
 	// CheckpointEvery is the minimum number of new measurements between
 	// checkpoints; boundaries reached earlier are skipped. 0 captures at
@@ -143,263 +157,46 @@ func fatal(ctx context.Context, res tuner.Result, err error) bool {
 	return err != nil && (ctx.Err() != nil || !errors.Is(err, context.DeadlineExceeded) || !res.Found)
 }
 
+// taskRun is the driver's per-task state. Fields written by worker
+// goroutines (done, elapsed, rounds, cancel) are only read by the driver
+// goroutine after the round barrier; the task's deadline context itself
+// lives in a slice local to Run (contexts are call-scoped).
+type taskRun struct {
+	spec    Spec
+	sess    tuner.Session     // nil until the task starts, and again once it is finalized
+	master  *transfer.History // the spec's shared history, nil when transfer is off
+	view    *transfer.History // round-order snapshot the session reads; nil in the sequential order
+	goal    int               // measured count this round's grant steps toward
+	cancel  context.CancelFunc
+	done    bool // session reported done
+	elapsed time.Duration
+	rounds  int
+}
+
 // Run tunes every spec and returns the outcomes in spec order. On a fatal
 // task failure it returns the outcomes finalized so far plus a *TaskError
-// (wrapping the task's tuning error); the remaining tasks are not tuned.
+// (wrapping the task's tuning error); a parent cancellation returns them
+// with an error wrapping ctx.Err(). The remaining tasks are not tuned.
 func Run(ctx context.Context, tn tuner.Opener, b backend.Backend, specs []Spec, opts Options) ([]Outcome, error) {
 	if len(specs) == 0 {
 		return nil, nil
 	}
-	if opts.Policy == nil {
-		opts.Policy = UniformPolicy{}
-	}
-	conc := opts.TaskConcurrency
-	if conc > len(specs) {
-		conc = len(specs)
-	}
-	if conc < 1 {
-		conc = 1
-	}
-	_, uniform := opts.Policy.(UniformPolicy)
-	if conc == 1 && uniform {
-		return runSequential(ctx, tn, b, specs, opts)
-	}
+	s := newSchedule(specs, opts)
+	conc := s.conc
 	if !b.Seeded() {
 		// One shared noise stream: round structure stays policy-driven but
 		// step execution must be serial (and is then deterministic, since
 		// rounds visit tasks in index order).
 		conc = 1
 	}
-	return runRounds(ctx, tn, b, specs, opts, conc)
-}
-
-// runSequential is the legacy pipeline driver: open, drive to completion
-// and finalize each task in order, with the shared transfer history chaining
-// live from task to task. Bit-identical to the pre-scheduler per-task loop.
-// The Drive loop is inlined as an explicit step loop so a checkpoint can be
-// captured at every step boundary and after every finalization.
-func runSequential(ctx context.Context, tn tuner.Opener, b backend.Backend, specs []Spec, opts Options) ([]Outcome, error) {
-	outs := make([]Outcome, 0, len(specs))
-	var published []int // indices in transfer-publication order
-	first := 0
-	var liveState *tuner.SessionState
-	var liveElapsed time.Duration
-	totalDone := 0 // measurements recorded by finalized tasks
-	lastCp := 0    // totalMeasured at the last captured checkpoint
-
-	if cp := opts.Resume; cp != nil {
-		if err := cp.validate(DriverSequential, specs); err != nil {
-			return nil, err
-		}
-		// Finalized tasks form a prefix in this driver; rebuild their
-		// outcomes and replay their transfer publications.
-		for i, tc := range cp.Tasks {
-			if tc.Outcome == nil {
-				break
-			}
-			out, err := tc.restoreOutcome(specs[i].Task)
-			if err != nil {
-				return nil, err
-			}
-			outs = append(outs, out)
-			totalDone += out.Result.Measurements
-		}
-		first = len(outs)
-		for i := first; i < len(cp.Tasks); i++ {
-			if cp.Tasks[i].Outcome != nil {
-				return nil, fmt.Errorf("sched: resume: sequential checkpoint finalized task %d before task %d", i, first)
-			}
-			if cp.Tasks[i].Session != nil && i != first {
-				return nil, fmt.Errorf("sched: resume: sequential checkpoint carries a session for task %d, want %d", i, first)
-			}
-		}
-		if first < len(cp.Tasks) {
-			liveState = cp.Tasks[first].Session
-			liveElapsed = time.Duration(cp.Tasks[first].ElapsedNS)
-		}
-		for _, idx := range cp.Published {
-			if idx < 0 || idx >= first {
-				return nil, fmt.Errorf("sched: resume: published task %d is not finalized", idx)
-			}
-			sp := specs[idx]
-			if sp.Opts.Transfer != nil && len(outs[idx].Result.Samples) > 0 {
-				sp.Opts.Transfer.Add(sp.Task.Name, sp.Task.Workload.Op, outs[idx].Result.Samples)
-			}
-			published = append(published, idx)
-		}
-		lastCp = totalDone
-	}
-
-	for i := first; i < len(specs); i++ {
-		sp := specs[i]
-		st := liveState
-		liveState = nil
-		prior := time.Duration(0)
-		if st != nil {
-			prior = liveElapsed
-		} else if opts.OnTaskStart != nil {
-			// A restored task already announced itself before the
-			// checkpoint; only fresh tasks fire the callback.
-			opts.OnTaskStart(i+1, len(specs), sp.Task.Name)
-		}
-		// The per-task deadline is layered under the caller's ctx: either
-		// can end the search, and the session returns the samples measured
-		// so far in both cases. The deadline clock restarts on resume.
-		tctx := ctx
-		cancel := func() {}
-		if opts.TaskDeadline > 0 {
-			tctx, cancel = context.WithTimeout(ctx, opts.TaskDeadline)
-		}
-		start := time.Now() //lint:ignore walltime Outcome.Elapsed observability: recorded for reporting, never read by scheduling
-		var sess tuner.Session
-		var err error
-		if st != nil {
-			sess, err = tn.Restore(tctx, sp.Task, b, sp.Opts, *st)
-		} else {
-			sess, err = tn.Open(tctx, sp.Task, b, sp.Opts)
-		}
-		if err != nil {
-			cancel()
-			return outs, &TaskError{TaskName: sp.Task.Name, Index: i, Err: err}
-		}
-		for {
-			done, serr := sess.Step(tctx)
-			if done || serr != nil {
-				break
-			}
-			if opts.OnCheckpoint == nil {
-				continue
-			}
-			if tm := totalDone + sess.Measured(); tm-lastCp >= opts.CheckpointEvery {
-				snap, cerr := snapshotSession(sess, sp.Task.Name, i)
-				if cerr != nil {
-					cancel()
-					return outs, cerr
-				}
-				//lint:ignore walltime Outcome.Elapsed observability: carried through the checkpoint for reporting only
-				cp := seqCheckpoint(specs, outs, published, i, snap, prior+time.Since(start))
-				lastCp = tm
-				opts.OnCheckpoint(cp)
-			}
-		}
-		res, terr := sess.Result()
-		cancel()
-		elapsed := prior + time.Since(start) //lint:ignore walltime Outcome.Elapsed observability: reported upward only
-		if fatal(ctx, res, terr) {
-			return outs, &TaskError{TaskName: sp.Task.Name, Index: i, Err: terr}
-		}
-		out := Outcome{Index: i, Task: sp.Task, Result: res, Err: terr, Elapsed: elapsed, Rounds: 1}
-		outs = append(outs, out)
-		totalDone += res.Measurements
-		if sp.Opts.Transfer != nil && len(res.Samples) > 0 {
-			// The session itself published to the shared history in
-			// Result; record the order so resume can replay the Add.
-			published = append(published, i)
-		}
-		if opts.OnTaskDone != nil {
-			opts.OnTaskDone(out)
-		}
-		if opts.OnCheckpoint != nil {
-			if last := i == len(specs)-1; last || totalDone-lastCp >= opts.CheckpointEvery {
-				cp := seqCheckpoint(specs, outs, published, i+1, nil, 0)
-				lastCp = totalDone
-				opts.OnCheckpoint(cp)
-			}
-		}
-	}
-	return outs, nil
-}
-
-// seqCheckpoint assembles the sequential driver's checkpoint: the finalized
-// prefix, optionally the live session's snapshot, and empty placeholders
-// for tasks not yet started.
-func seqCheckpoint(specs []Spec, outs []Outcome, published []int, next int, live *tuner.SessionState, liveElapsed time.Duration) *Checkpoint {
-	cp := &Checkpoint{Version: CheckpointVersion, Driver: DriverSequential, Round: next,
-		Published: append([]int(nil), published...), Tasks: make([]TaskCheckpoint, len(specs))}
+	runs := make([]taskRun, len(specs))
 	for i, sp := range specs {
-		tc := TaskCheckpoint{Index: i, Name: sp.Task.Name}
-		switch {
-		case i < len(outs):
-			tc.Rounds = outs[i].Rounds
-			tc.ElapsedNS = int64(outs[i].Elapsed)
-			tc.PrevMeasured = outs[i].Result.Measurements
-			st := outcomeState(outs[i])
-			tc.Outcome = &st
-		case i == next && live != nil:
-			tc.Session = live
-			tc.ElapsedNS = int64(liveElapsed)
-		}
-		cp.Tasks[i] = tc
+		runs[i] = taskRun{spec: sp, master: sp.Opts.Transfer}
 	}
-	return cp
-}
-
-// taskRun is the round driver's per-task state. Fields written by worker
-// goroutines (done, elapsed, rounds, cancel) are only read by the driver
-// goroutine after the round barrier; the task's deadline context itself
-// lives in a slice local to runRounds (contexts are call-scoped).
-type taskRun struct {
-	idx        int
-	spec       Spec
-	sess       tuner.Session
-	master     *transfer.History // the spec's shared history, nil when transfer is off
-	view       *transfer.History // round-boundary snapshot the session reads
-	ownBudget  int               // the spec's normalized budget
-	sessBudget int               // the cap baked into the session (policy may raise it)
-	planSize   int
-	cancel     context.CancelFunc
-	done       bool // session reported done
-	finalized  bool
-	elapsed    time.Duration
-	rounds     int
-	prevMeas   int
-	prevBest   float64
-	// finalMeasured / finalBest stand in for the session's accounting view
-	// when a finalized task was restored from a checkpoint without one.
-	finalMeasured int
-	finalBest     float64
-}
-
-// measured is the task's budget-accounting view: the live session's count,
-// or the restored outcome's for a checkpoint-restored finalized task.
-func (tr *taskRun) measured() int {
-	if tr.sess != nil {
-		return tr.sess.Measured()
-	}
-	return tr.finalMeasured
-}
-
-// best mirrors measured for the best-valid-GFLOPS view.
-func (tr *taskRun) best() float64 {
-	if tr.sess != nil {
-		b, _ := tr.sess.BestGFLOPS()
-		return b
-	}
-	return tr.finalBest
-}
-
-// runRounds is the round driver: all sessions open up front, and each round
-// the policy grants every live task a measurement allowance, the granted
-// tasks step concurrently (at most conc at a time), and the boundary
-// finalizes finished tasks and re-snapshots the transfer views.
-func runRounds(ctx context.Context, tn tuner.Opener, b backend.Backend, specs []Spec, opts Options, conc int) ([]Outcome, error) {
-	totalBudget := 0
-	for _, sp := range specs {
-		totalBudget += sp.Opts.Normalized().Budget
-	}
-
-	cp := opts.Resume
-	if cp != nil {
-		if err := cp.validate(DriverRounds, specs); err != nil {
-			return nil, err
-		}
-	}
-
-	runs := make([]*taskRun, len(specs))
 	defer func() {
-		for _, tr := range runs {
-			if tr != nil && tr.cancel != nil {
-				tr.cancel()
+		for i := range runs {
+			if runs[i].cancel != nil {
+				runs[i].cancel()
 			}
 		}
 	}()
@@ -407,270 +204,218 @@ func runRounds(ctx context.Context, tn tuner.Opener, b backend.Backend, specs []
 	finalized := 0
 	var published []int // indices in transfer-publication order
 
-	// Pass 1: per-task bookkeeping, and restored outcomes for tasks the
-	// checkpoint had already finalized. Opening the sessions waits until the
-	// master transfer histories are rebuilt (pass 2) so restored sessions
-	// clone warm-start views with the same content the original ones held.
-	for i, sp := range specs {
-		if cp == nil && opts.OnTaskStart != nil {
-			// On resume every task already announced itself before the
-			// checkpoint (this driver opens all tasks up front).
-			opts.OnTaskStart(i+1, len(specs), sp.Task.Name)
+	// open starts task i's session, or restores it from st. Only a fresh
+	// start announces the task: a restored one did so before the
+	// checkpoint. In the round order the session reads a transfer view
+	// cloned from the master history; the sequential order's one live task
+	// reads, and publishes to, the master itself.
+	open := func(i int, st *tuner.SessionState) error {
+		tr := &runs[i]
+		task := tr.spec.Task
+		nopts := tr.spec.Opts.Normalized()
+		nopts.Budget = s.caps[i]
+		if tr.master != nil && s.driver == DriverRounds {
+			tr.view = tr.master.Clone()
+			nopts.Transfer = tr.view
 		}
-		nopts := sp.Opts.Normalized()
-		tr := &taskRun{idx: i, spec: sp, ownBudget: nopts.Budget, planSize: nopts.PlanSize}
-		tr.sessBudget = opts.Policy.SessionBudget(nopts.Budget, totalBudget)
-		if sp.Opts.Transfer != nil {
-			tr.master = sp.Opts.Transfer
+		var err error
+		if st != nil {
+			tr.sess, err = tn.Restore(ctx, task, b, nopts, *st)
+		} else {
+			if opts.OnTaskStart != nil {
+				opts.OnTaskStart(i+1, len(specs), task.Name)
+			}
+			tr.sess, err = tn.Open(ctx, task, b, nopts)
 		}
-		runs[i] = tr
-		if cp == nil {
-			continue
+		if err != nil {
+			return &TaskError{TaskName: task.Name, Index: i, Err: err}
 		}
-		tc := cp.Tasks[i]
-		tr.rounds = tc.Rounds
-		tr.elapsed = time.Duration(tc.ElapsedNS)
-		tr.prevMeas = tc.PrevMeasured
-		tr.prevBest = tc.PrevBest
-		if tc.Outcome != nil {
-			out, err := tc.restoreOutcome(sp.Task)
+		return nil
+	}
+
+	firstRound := 0
+	if cp := opts.Resume; cp != nil {
+		if err := cp.validate(s.driver, specs); err != nil {
+			return nil, err
+		}
+		// Re-enter the loop at the checkpointed boundary: the boundary code
+		// is idempotent for already-finalized tasks, and policies see the
+		// same round numbers the uninterrupted run fed them.
+		firstRound = cp.Round
+		for i, tc := range cp.Tasks {
+			st := &s.states[i]
+			runs[i].rounds, runs[i].elapsed = tc.Rounds, time.Duration(tc.ElapsedNS)
+			st.PrevMeasured, st.PrevBest = tc.PrevMeasured, tc.PrevBest
+			if tc.Outcome == nil {
+				continue
+			}
+			out, err := tc.restoreOutcome(specs[i].Task)
 			if err != nil {
 				return nil, err
 			}
 			outs[i] = out
-			tr.finalized = true
-			tr.finalMeasured = out.Result.Measurements
+			st.Done, st.Measured = true, out.Result.Measurements
 			if out.Result.Found {
-				tr.finalBest = out.Result.Best.GFLOPS
+				st.Best = out.Result.Best.GFLOPS
 			}
 			finalized++
-		} else if tc.Session == nil {
-			return nil, fmt.Errorf("sched: resume: live task %s has no session snapshot", sp.Task.Name)
 		}
-	}
-
-	// Pass 2: replay transfer publications into the caller's fresh master
-	// histories, in the original publication order.
-	if cp != nil {
+		// Replay transfer publications into the caller's fresh master
+		// histories in the original order, then restore the tasks caught
+		// mid-run so the first boundary sees their measured counts. Their
+		// sessions read the rebuilt master (or a clone of it), which holds
+		// what the original sessions read after the last refresh.
 		for _, idx := range cp.Published {
-			if idx < 0 || idx >= len(runs) || !runs[idx].finalized {
+			if idx < 0 || idx >= len(runs) || outs[idx].Task == nil {
 				return nil, fmt.Errorf("sched: resume: published task %d is not finalized", idx)
 			}
-			tr := runs[idx]
-			if tr.master != nil && len(outs[idx].Result.Samples) > 0 {
+			if tr := &runs[idx]; tr.master != nil && len(outs[idx].Result.Samples) > 0 {
 				tr.master.Add(tr.spec.Task.Name, tr.spec.Task.Workload.Op, outs[idx].Result.Samples)
 			}
 			published = append(published, idx)
 		}
+		for i, tc := range cp.Tasks {
+			if tc.Outcome == nil && tc.Session != nil {
+				if err := open(i, tc.Session); err != nil {
+					return nil, err
+				}
+			}
+		}
 	}
 
-	// Pass 3: open (or restore) the live sessions.
-	for i, sp := range specs {
-		tr := runs[i]
-		if tr.finalized {
-			continue
-		}
-		nopts := sp.Opts.Normalized()
-		nopts.Budget = tr.sessBudget
-		if tr.master != nil {
-			tr.view = tr.master.Clone()
-			nopts.Transfer = tr.view
-		}
-		var sess tuner.Session
-		var err error
-		if cp != nil {
-			sess, err = tn.Restore(ctx, sp.Task, b, nopts, *cp.Tasks[i].Session)
-		} else {
-			sess, err = tn.Open(ctx, sp.Task, b, nopts)
-		}
-		if err != nil {
-			return nil, &TaskError{TaskName: sp.Task.Name, Index: i, Err: err}
-		}
-		tr.sess = sess
-	}
 	// Per-task stepping contexts (parent ctx, optionally under the task
 	// deadline), created lazily at a task's first step so the deadline clock
 	// starts when the task does (and restarts there on resume). Each slot is
 	// touched by one worker per round and rounds are barriers, so plain
 	// access is safe.
 	tctxs := make([]context.Context, len(specs))
-	firstRound := 0
-	if cp != nil {
-		// Re-enter the loop at the checkpointed boundary: the boundary code
-		// is idempotent for already-finalized tasks, and policies see the
-		// same round numbers the uninterrupted run fed them.
-		firstRound = cp.Round
+	var work []int // task indices granted work this round, reused
+	// step advances one granted task toward its goal; sessions are
+	// single-goroutine but distinct, so work items run concurrently. A
+	// granted task always takes at least one step, so a session at its cap
+	// reports done rather than stalling forever.
+	step := func(j int) {
+		i := work[j]
+		tr := &runs[i]
+		start := time.Now() //lint:ignore walltime Outcome.Elapsed observability: per-task timing is reported, never scheduled on
+		if tctxs[i] == nil {
+			tctxs[i] = ctx
+			if opts.TaskDeadline > 0 {
+				tctxs[i], tr.cancel = context.WithTimeout(ctx, opts.TaskDeadline)
+			}
+		}
+		for {
+			if done, _ := tr.sess.Step(tctxs[i]); done {
+				tr.done = true
+				break
+			}
+			if tr.sess.Measured() >= tr.goal {
+				break
+			}
+		}
+		tr.elapsed += time.Since(start) //lint:ignore walltime Outcome.Elapsed observability: accumulate-only
+		tr.rounds++
 	}
+
 	lastCp := 0 // totalMeasured at the last captured checkpoint
 	for round := firstRound; ; round++ {
 		// A parent cancellation aborts the whole run, like the legacy
 		// pipeline. Sessions cancelled mid-round latch the ctx error and are
 		// reported as a fatal TaskError below instead.
 		if err := ctx.Err(); err != nil {
-			return doneOutcomes(outs, runs), fmt.Errorf("sched: run aborted: %w", err)
+			return doneOutcomes(outs), fmt.Errorf("sched: run aborted: %w", err)
 		}
 		// ---- Round boundary (single goroutine) --------------------------
-		totalMeasured := 0
-		for _, tr := range runs {
-			totalMeasured += tr.measured()
-		}
-		budgetSpent := totalMeasured >= totalBudget
-		for i, tr := range runs {
-			if tr.finalized {
-				continue
+		for i := range runs {
+			if st := &s.states[i]; runs[i].sess != nil && !st.Done {
+				st.Measured = runs[i].sess.Measured()
+				st.Best, _ = runs[i].sess.BestGFLOPS()
 			}
-			if !tr.done && tr.sess.Measured() < tr.sessBudget && !budgetSpent {
+		}
+		totalMeasured := s.measured()
+		publishedBefore := len(published)
+		for i := range runs {
+			tr := &runs[i]
+			// A task that has not started waits for its first grant.
+			if tr.sess == nil || s.states[i].Done || !tr.done && !s.exhausted(i, totalMeasured) {
 				continue
 			}
 			res, rerr := tr.sess.Result()
-			tr.finalized = true
+			s.states[i].Done = true
 			finalized++
 			if tr.cancel != nil {
 				tr.cancel()
 				tr.cancel = nil
 			}
 			if fatal(ctx, res, rerr) {
-				return doneOutcomes(outs, runs), &TaskError{TaskName: tr.spec.Task.Name, Index: i, Err: rerr}
+				return doneOutcomes(outs), &TaskError{TaskName: tr.spec.Task.Name, Index: i, Err: rerr}
 			}
-			// Publish to the master history exactly as the session's own
-			// finalization published to its discarded view, recording the
-			// order so resume can replay the Adds.
+			// A round-order session published to its own view, which is now
+			// discarded, so the same samples go to the master here; a
+			// sequential-order session published to the master itself.
+			// Record the order so resume can replay the Adds.
 			if tr.master != nil && len(res.Samples) > 0 {
-				tr.master.Add(tr.spec.Task.Name, tr.spec.Task.Workload.Op, res.Samples)
+				if tr.view != nil {
+					tr.master.Add(tr.spec.Task.Name, tr.spec.Task.Workload.Op, res.Samples)
+				}
 				published = append(published, i)
 			}
+			// Release the finished session (surrogate models, search state)
+			// now rather than when the run ends.
+			tr.sess, tr.view = nil, nil
 			outs[i] = Outcome{Index: i, Task: tr.spec.Task, Result: res, Err: rerr,
 				Elapsed: tr.elapsed, Rounds: tr.rounds}
 			if opts.OnTaskDone != nil {
 				opts.OnTaskDone(outs[i])
 			}
 		}
-		for _, tr := range runs {
-			if !tr.finalized && tr.view != nil {
-				tr.view.CopyFrom(tr.master)
+		// Views only go stale when the master grew.
+		if len(published) > publishedBefore {
+			for i := range runs {
+				if tr := &runs[i]; tr.view != nil && !s.states[i].Done {
+					tr.view.CopyFrom(tr.master)
+				}
 			}
 		}
 		// The checkpoint is captured after finalization and view refresh,
 		// before allocation: resume re-enters this boundary, skips the
-		// already-finalized tasks, and re-runs the same Allocate call.
+		// already-finalized tasks, and re-runs the same allocation.
 		if opts.OnCheckpoint != nil && (finalized == len(specs) || totalMeasured-lastCp >= opts.CheckpointEvery) {
-			rcp := &Checkpoint{Version: CheckpointVersion, Driver: DriverRounds, Round: round,
-				Published: append([]int(nil), published...), Tasks: make([]TaskCheckpoint, len(specs))}
-			for i, tr := range runs {
-				tc := TaskCheckpoint{Index: i, Name: tr.spec.Task.Name, Rounds: tr.rounds,
-					ElapsedNS: int64(tr.elapsed), PrevMeasured: tr.prevMeas, PrevBest: tr.prevBest}
-				if tr.finalized {
-					st := outcomeState(outs[i])
-					tc.Outcome = &st
-				} else {
-					snap, err := snapshotSession(tr.sess, tr.spec.Task.Name, i)
-					if err != nil {
-						return doneOutcomes(outs, runs), err
-					}
-					tc.Session = snap
-				}
-				rcp.Tasks[i] = tc
+			cp, err := s.checkpoint(round, runs, outs, published)
+			if err != nil {
+				return doneOutcomes(outs), err
 			}
 			lastCp = totalMeasured
-			opts.OnCheckpoint(rcp)
+			opts.OnCheckpoint(cp)
 		}
 		if finalized == len(specs) {
 			return outs, nil
 		}
 
 		// ---- Allocation -------------------------------------------------
-		states := make([]TaskState, len(specs))
-		for i, tr := range runs {
-			states[i] = TaskState{
-				Index: i, Name: tr.spec.Task.Name, Done: tr.finalized,
-				Measured: tr.measured(), PrevMeasured: tr.prevMeas,
-				Budget: tr.ownBudget, PlanSize: tr.planSize,
-				Weight: tr.spec.Task.Count,
-				Best:   tr.best(), PrevBest: tr.prevBest,
-			}
-		}
-		grants := opts.Policy.Allocate(round, states)
-		type work struct {
-			tr   *taskRun
-			goal int
-		}
-		var wl []work
-		remaining := totalBudget - totalMeasured
-		for i, tr := range runs {
-			if tr.finalized {
-				continue
-			}
-			g := 0
-			if i < len(grants) {
-				g = grants[i]
-			}
-			g = min(g, tr.sessBudget-states[i].Measured, remaining)
-			if g <= 0 {
-				continue
-			}
-			remaining -= g
-			wl = append(wl, work{tr, states[i].Measured + g})
-		}
-		if len(wl) == 0 {
-			// Liveness guard: the policy granted nothing although budget and
-			// live tasks remain — advance every live task by one plan so the
-			// run always terminates.
-			for i, tr := range runs {
-				if tr.finalized {
-					continue
+		work = work[:0]
+		for _, g := range s.allocate(round, totalMeasured) {
+			if runs[g.idx].sess == nil {
+				if err := open(g.idx, nil); err != nil {
+					return doneOutcomes(outs), err
 				}
-				g := min(tr.planSize, tr.sessBudget-states[i].Measured)
-				if g < 1 {
-					g = 1
-				}
-				wl = append(wl, work{tr, states[i].Measured + g})
 			}
-		}
-		for i, tr := range runs {
-			if !tr.finalized {
-				tr.prevMeas = states[i].Measured
-				tr.prevBest = states[i].Best
-			}
+			runs[g.idx].goal = s.states[g.idx].Measured + g.n
+			work = append(work, g.idx)
 		}
 
 		// ---- Execution --------------------------------------------------
-		// Each work item steps one session toward its goal; sessions are
-		// single-goroutine but distinct, so items run concurrently. A
-		// scheduled task always takes at least one step, so a session at its
-		// cap reports done rather than stalling forever.
-		par.For(len(wl), conc, func(j int) {
-			w := wl[j]
-			tr := w.tr
-			start := time.Now() //lint:ignore walltime Outcome.Elapsed observability: per-task timing is reported, never scheduled on
-			if tctxs[tr.idx] == nil {
-				tctxs[tr.idx] = ctx
-				if opts.TaskDeadline > 0 {
-					tctxs[tr.idx], tr.cancel = context.WithTimeout(ctx, opts.TaskDeadline)
-				}
-			}
-			for {
-				done, _ := tr.sess.Step(tctxs[tr.idx])
-				if done {
-					tr.done = true
-					break
-				}
-				if tr.sess.Measured() >= w.goal {
-					break
-				}
-			}
-			tr.elapsed += time.Since(start) //lint:ignore walltime Outcome.Elapsed observability: accumulate-only
-			tr.rounds++
-		})
+		par.For(len(work), conc, step)
 	}
 }
 
 // doneOutcomes returns the outcomes of tasks already finalized when a fatal
-// error aborts the round driver, in spec order.
-func doneOutcomes(outs []Outcome, runs []*taskRun) []Outcome {
+// error aborts the run, in spec order.
+func doneOutcomes(outs []Outcome) []Outcome {
 	kept := make([]Outcome, 0, len(outs))
-	for i, tr := range runs {
-		if tr.finalized && outs[i].Task != nil {
-			kept = append(kept, outs[i])
+	for _, o := range outs {
+		if o.Task != nil {
+			kept = append(kept, o)
 		}
 	}
 	return kept

@@ -3,6 +3,7 @@ package sched
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -79,8 +80,9 @@ func sameOutcomes(a, b []Outcome) bool {
 	return true
 }
 
-// TestSequentialMatchesTuneChain: the sequential driver must behave exactly
-// like hand-driving Tune task after task with live transfer chaining.
+// TestSequentialMatchesTuneChain: the sequential task order must behave
+// exactly like hand-driving Tune task after task with live transfer
+// chaining, announcing each task only after the previous one is done.
 func TestSequentialMatchesTuneChain(t *testing.T) {
 	tasks := schedTasks(t)
 	tn := tuner.NewAutoTVM()
@@ -95,25 +97,26 @@ func TestSequentialMatchesTuneChain(t *testing.T) {
 		want = append(want, Outcome{Index: i, Task: sp.Task, Result: res})
 	}
 
-	var starts, dones []string
+	var events, wantEvents []string
 	got, err := Run(context.Background(), tn, schedBackend(t, 3),
 		specsFor(tasks, 32, 5, 1, transfer.NewHistory()), Options{
-			OnTaskStart: func(i, n int, name string) { starts = append(starts, name) },
-			OnTaskDone:  func(o Outcome) { dones = append(dones, o.Task.Name) },
+			OnTaskStart: func(i, n int, name string) { events = append(events, "start "+name) },
+			OnTaskDone:  func(o Outcome) { events = append(events, "done "+o.Task.Name) },
 		})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sameOutcomes(want, got) {
-		t.Fatal("sequential driver differs from the hand-driven Tune chain")
+		t.Fatal("sequential order differs from the hand-driven Tune chain")
 	}
-	for i, task := range tasks {
-		if starts[i] != task.Name || dones[i] != task.Name {
-			t.Fatalf("callback order: starts=%v dones=%v", starts, dones)
-		}
+	for _, task := range tasks {
+		wantEvents = append(wantEvents, "start "+task.Name, "done "+task.Name)
+	}
+	if fmt.Sprint(events) != fmt.Sprint(wantEvents) {
+		t.Fatalf("callback order:\n got %v\nwant %v", events, wantEvents)
 	}
 	for _, o := range got {
-		if o.Rounds != 1 || o.Elapsed < 0 {
+		if o.Rounds < 1 || o.Elapsed < 0 {
 			t.Fatalf("outcome bookkeeping: rounds=%d elapsed=%v", o.Rounds, o.Elapsed)
 		}
 	}
@@ -122,7 +125,7 @@ func TestSequentialMatchesTuneChain(t *testing.T) {
 // TestUniformGridInvariance is the scheduler's tentpole contract: with the
 // uniform policy and transfer off, outcomes are bit-identical across every
 // Workers x TaskConcurrency combination — including concurrency 1, which
-// runs the sequential driver.
+// runs the sequential task order.
 func TestUniformGridInvariance(t *testing.T) {
 	tasks := schedTasks(t)
 	tn := tuner.GATuner{}
@@ -152,7 +155,7 @@ func TestUniformGridInvariance(t *testing.T) {
 	}
 }
 
-// TestTransferRoundInvariance: with transfer on, the round driver's
+// TestTransferRoundInvariance: with transfer on, the round order's
 // snapshot history makes outcomes identical for every concurrency > 1 and
 // worker count.
 func TestTransferRoundInvariance(t *testing.T) {
@@ -178,8 +181,8 @@ func TestTransferRoundInvariance(t *testing.T) {
 	}
 }
 
-// TestAdaptiveInvariance: the adaptive policy routes through the round
-// driver at every concurrency, so its outcomes too are invariant across the
+// TestAdaptiveInvariance: the adaptive policy runs the round order at
+// every concurrency, so its outcomes too are invariant across the
 // whole grid, transfer included.
 func TestAdaptiveInvariance(t *testing.T) {
 	tasks := schedTasks(t)
@@ -215,8 +218,8 @@ func TestAdaptiveInvariance(t *testing.T) {
 	}
 }
 
-// TestParentCancellation: a cancelled parent context aborts both drivers
-// with an error, like the legacy pipeline.
+// TestParentCancellation: a cancelled parent context aborts both task
+// orders with an error, like the legacy pipeline.
 func TestParentCancellation(t *testing.T) {
 	tasks := schedTasks(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -237,7 +240,7 @@ func TestParentCancellation(t *testing.T) {
 }
 
 // TestTaskDeadlineFatal: a deadline so short that a task finds nothing is a
-// fatal TaskError in both drivers.
+// fatal TaskError in both task orders.
 func TestTaskDeadlineFatal(t *testing.T) {
 	tasks := schedTasks(t)
 	for _, conc := range []int{1, 2} {
